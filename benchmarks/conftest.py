@@ -6,36 +6,15 @@ wall time via pytest-benchmark's pedantic mode, prints the same
 rows/series the paper reports, and asserts the figure's qualitative
 shape.
 
-Benchmarks that track a perf trajectory across commits (currently the
-parallel-runner snapshot) persist a ``BENCH_*.json`` file at the repo
-root via the ``write_snapshot`` fixture.
+Benchmarks write nothing to the repository: the committed
+``BENCH_*.json`` snapshots come from ``python -m repro bench``.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.experiments import run_figure
-
-#: The repository root — where BENCH_*.json snapshots live.
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-@pytest.fixture
-def write_snapshot(capsys):
-    """Persist a JSON perf snapshot (BENCH_<name>.json) at the repo root."""
-
-    def writer(filename: str, payload: dict) -> Path:
-        path = REPO_ROOT / filename
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        with capsys.disabled():
-            print(f"\nsnapshot -> {path}")
-        return path
-
-    return writer
 
 
 @pytest.fixture

@@ -1,11 +1,33 @@
-/* C translation of repro.core._batch_kernel.advance_member.
+/* The batch cascade kernel in C: repro_advance_member().
  *
- * Line-for-line port of the packed scalar cascade kernel; see the
- * Python module for the state layout and the resumability contract.
+ * Line-for-line translation of repro.core.batch.BatchCascade.
+ * _advance_slice (the python backend) over one member's packed arrays;
+ * see repro/core/_batch_kernel.py for the state layout.  The spec:
+ *
+ *   Loop until a status is set.  First reserve headroom (one round
+ *   slot, two group slots when history is kept) or return
+ *   ROUNDS_FULL / GROUPS_FULL with nothing written.  Take the earliest
+ *   pending expiry e1 (the first minimum in node order, which is the
+ *   heap's (time, node) order); if e1 > until, stop at the horizon.
+ *   Otherwise open a busy window at e1 + tc and keep capturing the
+ *   earliest remaining expiry while it is <= window, growing the
+ *   window by a sequential window += tc per capture.  If the closed
+ *   window outlives until, restore the captured expiries and stop at
+ *   the horizon.  Else all g captured routers reset at t = window:
+ *   record g resets into the fused cluster tracker (join the open
+ *   group when |t - open_time| <= tol, else close it and open a new
+ *   one; slide the N-reset window, rescanning its maximum only when
+ *   the evicted entry held it; extend the first-passage frontiers and
+ *   the per-round largest-cluster series), then redraw each captured
+ *   router, in capture order, as window + (low + span * (state / M))
+ *   from its own Lehmer stream.  Stop after a cascade that meets the
+ *   requested full-sync or full-unsync condition.  On a horizon or
+ *   stop, close the trailing open group (ClusterTracker.finish()).
+ *
  * Built by _batch_kernel._build_clib() with -ffp-contract=off
  * -fno-fast-math: every float operation must round exactly like the
- * interpreted backends (no fused multiply-adds, no reassociation).
- * Lehmer arithmetic stays in int64 (products < 2^46 here).
+ * python backend (no fused multiply-adds, no reassociation).  Lehmer
+ * arithmetic stays in int64 (products < 2^46 here).
  */
 
 #include <math.h>

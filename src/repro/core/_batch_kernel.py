@@ -1,27 +1,16 @@
-"""Optional compiled providers for the batch cascade kernel.
+"""The compiled provider for the batch cascade kernel.
 
 :mod:`repro.core.batch`'s ``backend="compiled"`` runs the scalar
-cascade kernel as machine code.  Two providers, tried in order:
-
-``numba``
-    :func:`advance_member` below is written in the nopython subset —
-    packed flat arrays, no objects, no dicts — so when numba is
-    importable it is ``njit``-compiled as-is.  A warmup call at
-    resolve time forces compilation and demotes any numba failure to
-    "unavailable" instead of a crash mid-run.
-``c``
-    When numba is absent, the line-for-line C translation in
-    ``_batch_kernel.c`` (same directory) is built on demand with the
-    system compiler and loaded through :mod:`ctypes`.  The build
-    forbids FP contraction (``-ffp-contract=off -fno-fast-math``) so
-    no fused multiply-adds can perturb the float stream — the kernel
-    must stay byte-identical to the interpreted backends.
-
-Both providers expose the same callable signature as
-:func:`advance_member`; :func:`resolve_compiled` returns ``(provider
-name, callable)`` or None, cached for the process.  NumPy is required
-either way (the packed state lives in ndarrays); environments without
-it use the pure-Python backend.
+cascade kernel as machine code: ``_batch_kernel.c`` (same directory),
+a line-for-line C translation of ``BatchCascade._advance_slice`` over
+packed flat arrays, is built on demand with the system compiler and
+loaded through :mod:`ctypes`.  The build forbids FP contraction
+(``-ffp-contract=off -fno-fast-math``) so no fused multiply-adds can
+perturb the float stream — the kernel must stay byte-identical to the
+python backend.  :func:`resolve_compiled` returns the kernel callable
+or None, cached for the process.  NumPy is required (the packed state
+lives in ndarrays); environments without it, or without a C compiler,
+use the python backend.
 
 State packing
 -------------
@@ -56,14 +45,10 @@ except ImportError:  # pragma: no cover - compiled backend needs numpy
 
 __all__ = [
     "MemberState",
-    "advance_member",
     "drive_member",
     "resolve_compiled",
 ]
 
-_MOD = 2**31 - 1
-_MUL = 16807
-_INF = float("inf")
 _NAN = float("nan")
 
 # istate layout.
@@ -81,218 +66,6 @@ STATUS_HORIZON = 0
 STATUS_STOPPED = 1
 STATUS_ROUNDS_FULL = 2
 STATUS_GROUPS_FULL = 3
-
-
-def advance_member(
-    expiry,
-    rng,
-    n,
-    tc,
-    low,
-    span,
-    tol,
-    until,
-    stop_sync,
-    stop_unsync,
-    keep_history,
-    fstate,
-    istate,
-    win_sizes,
-    win_cnts,
-    win_meta,
-    ftal,
-    ftam,
-    round_times,
-    round_largest,
-    round_meta,
-    group_times,
-    group_sizes,
-    group_meta,
-    idx_scratch,
-    time_scratch,
-):
-    """Advance one packed member to ``until`` or a stop condition.
-
-    The exact arithmetic of ``BatchCascade._advance_slice`` over flat
-    arrays.  Returns a ``STATUS_*`` code; on ``ROUNDS_FULL`` /
-    ``GROUPS_FULL`` no state from the pending cascade has been
-    written, so the caller can grow the buffer and simply call again.
-    """
-    cap = n + 1  # window ring capacity
-    rt_cap = round_times.shape[0]
-    gt_cap = group_times.shape[0]
-
-    now = fstate[0]
-    open_time = fstate[1]
-    open_size = istate[I_OPEN_SIZE]
-    wres = istate[I_WINDOW_RESETS]
-    wmax = istate[I_WMAX]
-    ftal_max = istate[I_FTAL_MAX]
-    ftam_min = istate[I_FTAM_MIN]
-    rfill = istate[I_ROUND_FILL]
-    rmax = istate[I_ROUND_MAX]
-    head = win_meta[0]
-    count = win_meta[1]
-
-    status = -1
-    while True:
-        # Headroom reservation: one round slot, two group slots (one
-        # close during the cascade + one for the trailing finish).
-        if round_meta[0] + 1 > rt_cap:
-            status = STATUS_ROUNDS_FULL
-            break
-        if keep_history != 0 and group_meta[0] + 2 > gt_cap:
-            status = STATUS_GROUPS_FULL
-            break
-
-        # Earliest pending expiry; strict < keeps the first (lowest
-        # node id) minimum, matching the heap's (time, node) order.
-        e1 = expiry[0]
-        i1 = 0
-        for i in range(1, n):
-            if expiry[i] < e1:
-                e1 = expiry[i]
-                i1 = i
-        if e1 > until:
-            if now < until:
-                now = until
-            status = STATUS_HORIZON
-            break
-
-        expiry[i1] = _INF
-        idx_scratch[0] = i1
-        time_scratch[0] = e1
-        g = 1
-        window = e1 + tc
-        while True:
-            e = expiry[0]
-            ii = 0
-            for i in range(1, n):
-                if expiry[i] < e:
-                    e = expiry[i]
-                    ii = i
-            if e > window:
-                break
-            expiry[ii] = _INF
-            idx_scratch[g] = ii
-            time_scratch[g] = e
-            g += 1
-            window += tc
-        if window > until:
-            # Busy period outlives the horizon: restore and stop.
-            for j in range(g):
-                expiry[idx_scratch[j]] = time_scratch[j]
-            now = until
-            status = STATUS_HORIZON
-            break
-
-        istate[I_TOTAL_CASCADES] += 1
-        now = window
-        t = window
-
-        # -- fused tracker: record_reset x g at time t ----------------
-        if open_time == open_time and abs(t - open_time) <= tol:
-            s = open_size
-            li = head + count - 1
-            if li >= cap:
-                li -= cap
-        else:
-            if open_time == open_time:
-                if keep_history != 0:
-                    gi = group_meta[0]
-                    group_times[gi] = open_time
-                    group_sizes[gi] = open_size
-                    group_meta[0] = gi + 1
-            li = head + count
-            if li >= cap:
-                li -= cap
-            win_sizes[li] = 0
-            win_cnts[li] = 0
-            count += 1
-            s = 0
-        for _ in range(g):
-            s += 1
-            win_sizes[li] = s
-            win_cnts[li] += 1
-            wres += 1
-            if s > wmax:
-                wmax = s
-            while wres > n:
-                win_cnts[head] -= 1
-                wres -= 1
-                if win_cnts[head] == 0:
-                    esize = win_sizes[head]
-                    head += 1
-                    if head >= cap:
-                        head -= cap
-                    count -= 1
-                    if esize >= wmax and wmax > 1:
-                        wmax = 1
-                        q = head
-                        for _ in range(count):
-                            if win_sizes[q] > wmax:
-                                wmax = win_sizes[q]
-                            q += 1
-                            if q >= cap:
-                                q -= cap
-            if s > ftal_max:
-                ftal[s] = t
-                ftal_max = s
-            if wres >= n and wmax < ftam_min:
-                for v in range(wmax, ftam_min):
-                    ftam[v] = t
-                ftam_min = wmax
-            rfill += 1
-            if s > rmax:
-                rmax = s
-            if rfill >= n:
-                ri = round_meta[0]
-                round_times[ri] = t
-                round_largest[ri] = rmax
-                round_meta[0] = ri + 1
-                rfill = 0
-                rmax = 0
-        open_time = t
-        open_size = s
-        istate[I_TOTAL_RESETS] += g
-
-        # -- redraw, in pop order -------------------------------------
-        for j in range(g):
-            i = idx_scratch[j]
-            state = (_MUL * rng[i]) % _MOD
-            rng[i] = state
-            expiry[i] = window + (low + span * (state / _MOD))
-
-        if stop_sync != 0 and (s >= n or (wres >= n and wmax >= n)):
-            status = STATUS_STOPPED
-            break
-        if stop_unsync != 0 and wres >= n and wmax <= 1:
-            status = STATUS_STOPPED
-            break
-
-    if status == STATUS_HORIZON or status == STATUS_STOPPED:
-        # ClusterTracker.finish(): close the trailing open group.
-        if open_time == open_time:
-            if keep_history != 0:
-                gi = group_meta[0]
-                group_times[gi] = open_time
-                group_sizes[gi] = open_size
-                group_meta[0] = gi + 1
-            open_time = _NAN
-            open_size = 0
-
-    fstate[0] = now
-    fstate[1] = open_time
-    istate[I_OPEN_SIZE] = open_size
-    istate[I_WINDOW_RESETS] = wres
-    istate[I_WMAX] = wmax
-    istate[I_FTAL_MAX] = ftal_max
-    istate[I_FTAM_MIN] = ftam_min
-    istate[I_ROUND_FILL] = rfill
-    istate[I_ROUND_MAX] = rmax
-    win_meta[0] = head
-    win_meta[1] = count
-    return status
 
 
 class MemberState:
@@ -358,9 +131,14 @@ class MemberState:
         self._grow("group_times", "group_sizes", self.group_meta)
 
     def kernel_args(self, tc, low, span, tol, until, stop_sync, stop_unsync):
+        """``repro_advance_member``'s arguments, in C order.
+
+        Pointers are taken per call because growing a buffer replaces
+        its array; the arrays themselves stay referenced by ``self``.
+        """
         return (
-            self.expiry,
-            self.rng,
+            _dp(self.expiry),
+            _lp(self.rng),
             self.n,
             tc,
             low,
@@ -370,21 +148,23 @@ class MemberState:
             1 if stop_sync else 0,
             1 if stop_unsync else 0,
             self.keep_history,
-            self.fstate,
-            self.istate,
-            self.win_sizes,
-            self.win_cnts,
-            self.win_meta,
-            self.ftal,
-            self.ftam,
-            self.round_times,
-            self.round_largest,
-            self.round_meta,
-            self.group_times,
-            self.group_sizes,
-            self.group_meta,
-            self.idx_scratch,
-            self.time_scratch,
+            _dp(self.fstate),
+            _lp(self.istate),
+            _lp(self.win_sizes),
+            _lp(self.win_cnts),
+            _lp(self.win_meta),
+            _dp(self.ftal),
+            _dp(self.ftam),
+            _dp(self.round_times),
+            _lp(self.round_largest),
+            _lp(self.round_meta),
+            self.round_times.shape[0],
+            _dp(self.group_times),
+            _lp(self.group_sizes),
+            _lp(self.group_meta),
+            self.group_times.shape[0],
+            _lp(self.idx_scratch),
+            _dp(self.time_scratch),
         )
 
     def sync_member(self, member):
@@ -436,63 +216,29 @@ def drive_member(kernel, state, tc, low, span, tol, until, stop_sync, stop_unsyn
             return status
 
 
-# -- provider resolution -------------------------------------------------
+# -- resolution ------------------------------------------------------------
 
 _RESOLVED: object = "unset"
 
 
-def resolve_compiled(force: str | None = None):
-    """``(provider_name, kernel)`` or None, cached per process.
+def resolve_compiled():
+    """The C kernel callable, or None where it cannot be built or loaded.
 
-    ``force`` (or the ``REPRO_COMPILED_PROVIDER`` env var) pins one
-    provider ("numba" / "c") instead of trying both — the hook the CI
-    compiled-backend job uses to assert which provider it exercised.
+    Cached for the process: the first call builds (or finds in the
+    cache) and smoke-tests the shared library.
     """
     global _RESOLVED
     if _RESOLVED == "unset":
-        _RESOLVED = _resolve(
-            force or os.environ.get("REPRO_COMPILED_PROVIDER", "").strip() or None
-        )
+        _RESOLVED = _try_cmodule() if _np is not None else None
     return _RESOLVED
 
 
-def _resolve(force):
-    if _np is None:
-        return None
-    if force not in (None, "numba", "c"):
-        raise ValueError(f"unknown compiled provider {force!r}")
-    if force in (None, "numba"):
-        kernel = _try_numba()
-        if kernel is not None:
-            return ("numba", kernel)
-    if force in (None, "c"):
-        kernel = _try_cmodule()
-        if kernel is not None:
-            return ("c", kernel)
-    return None
-
-
 def _warmup(kernel):
-    """Force-compile / smoke-test a candidate kernel on a tiny case."""
+    """Smoke-test a freshly loaded kernel on a tiny case."""
     state = MemberState([0.25, 0.75], [11, 12], 2, True, rounds_cap=4)
     status = drive_member(kernel, state, 0.1, 0.9, 0.2, 1e-7, 5.0, False, False)
     if status != STATUS_HORIZON:
         raise RuntimeError(f"warmup returned status {status}")
-
-
-def _try_numba():
-    try:
-        import numba
-    except ImportError:
-        return None
-    try:
-        # fastmath stays off: reassociation/contraction would break
-        # bit-identity with the interpreted backends.
-        kernel = numba.njit(cache=False, fastmath=False)(advance_member)
-        _warmup(kernel)
-    except Exception:  # pragma: no cover - depends on numba install health
-        return None
-    return kernel
 
 
 def _c_source_path():
@@ -534,7 +280,7 @@ def _build_clib():
                 "-fPIC",
                 "-shared",
                 # No FMA contraction, no fast-math value changes: the
-                # kernel must round exactly like the Python backends.
+                # kernel must round exactly like the python backend.
                 "-ffp-contract=off",
                 "-fno-fast-math",
                 src,
@@ -555,21 +301,32 @@ def _build_clib():
 def _try_cmodule():
     try:
         lib_path = _build_clib()
-        lib = ctypes.CDLL(lib_path)
-        kernel = _c_adapter(lib)
+        kernel = _bind(ctypes.CDLL(lib_path))
         _warmup(kernel)
     except Exception:
         return None
     return kernel
 
 
-def _c_adapter(lib):
-    """Wrap the C entry point behind the Python kernel's signature."""
+_P_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_P_LONGLONG = ctypes.POINTER(ctypes.c_longlong)
+
+
+def _dp(array):
+    return array.ctypes.data_as(_P_DOUBLE)
+
+
+def _lp(array):
+    return array.ctypes.data_as(_P_LONGLONG)
+
+
+def _bind(lib):
+    """Declare the C entry point's signature (see ``kernel_args``)."""
     fn = lib.repro_advance_member
     c_ll = ctypes.c_longlong
     c_d = ctypes.c_double
-    p_d = ctypes.POINTER(c_d)
-    p_ll = ctypes.POINTER(c_ll)
+    p_d = _P_DOUBLE
+    p_ll = _P_LONGLONG
     fn.restype = c_ll
     fn.argtypes = [
         p_d,  # expiry
@@ -601,70 +358,4 @@ def _c_adapter(lib):
         p_ll,  # idx_scratch
         p_d,  # time_scratch
     ]
-
-    def dp(a):
-        return a.ctypes.data_as(p_d)
-
-    def lp(a):
-        return a.ctypes.data_as(p_ll)
-
-    def kernel(
-        expiry,
-        rng,
-        n,
-        tc,
-        low,
-        span,
-        tol,
-        until,
-        stop_sync,
-        stop_unsync,
-        keep_history,
-        fstate,
-        istate,
-        win_sizes,
-        win_cnts,
-        win_meta,
-        ftal,
-        ftam,
-        round_times,
-        round_largest,
-        round_meta,
-        group_times,
-        group_sizes,
-        group_meta,
-        idx_scratch,
-        time_scratch,
-    ):
-        return fn(
-            dp(expiry),
-            lp(rng),
-            n,
-            tc,
-            low,
-            span,
-            tol,
-            until,
-            stop_sync,
-            stop_unsync,
-            keep_history,
-            dp(fstate),
-            lp(istate),
-            lp(win_sizes),
-            lp(win_cnts),
-            lp(win_meta),
-            dp(ftal),
-            dp(ftam),
-            dp(round_times),
-            lp(round_largest),
-            lp(round_meta),
-            round_times.shape[0],
-            dp(group_times),
-            lp(group_sizes),
-            lp(group_meta),
-            group_times.shape[0],
-            lp(idx_scratch),
-            dp(time_scratch),
-        )
-
-    return kernel
+    return fn

@@ -1,18 +1,15 @@
 """The batch-kernel performance snapshot (``python -m repro bench --batch``).
 
 Runs the Figure 10 parameter point (N=20, Tp=121 s, Tc=0.11 s,
-Tr=0.1 s, horizon 2e5 s) as a 100-member ensemble — the regime the
-event-vectorized kernel exists for; the paper's own figure averages
-20 of these members — through every execution configuration:
+Tr=0.1 s, horizon 2e5 s) as a 100-member ensemble — the paper's own
+figure averages 20 of these members — through every execution
+configuration:
 
 * ``cascade_jobs1``   — the serial cascade engine, the PR-1 baseline.
 * ``batch_python``    — the batch kernel, pure-Python scalar path
   (the portable floor; no numpy required).
-* ``batch_numpy``     — the event-vectorized kernel: bulk boundary
-  scans over the SoA slab, banked RNG blocks, scalar fallback only
-  inside cascade windows.  Skipped (reported absent) without numpy.
-* ``batch_compiled``  — the scalar kernel compiled to machine code
-  (numba or the bundled C module); reported when resolvable.
+* ``batch_compiled``  — the bundled C kernel; reported when it
+  resolves (``compiled_available`` says whether it did).
 * ``batch_jobsN``     — batch jobs over the process pool, pickle
   transport.
 * ``batch_jobsN_shm`` — the same pool with shared-memory result
@@ -23,17 +20,14 @@ measured **interleaved** over ``reps`` rounds and the per-row minimum
 is reported — on a shared box the minimum of interleaved rounds is
 the honest estimate of each configuration's cost, because background
 load inflates all rows in the same rounds instead of whichever row
-ran last.  Backend rows also report the kernel's per-phase split
-(``rng_refill`` / ``boundary_scan`` / ``cascade_resolution``) from
-their fastest round; the python backend's scalar loop has no phase
-instrumentation and reports zeros.
+ran last.
 
 All rows must produce identical first-passage times (checked on every
 bench run), so the table is a pure wall-clock comparison.  The
 snapshot is written as JSON — ``BENCH_batch.json`` at the repo root
-by convention — so the acceptance numbers (NumPy ≥ 10x over serial
-cascade; pure Python no worse than 10% under it; compiled reported
-when available) stay diffable across commits.
+by convention — so the acceptance numbers (compiled ≥ 10x over
+serial cascade when it resolves; pure Python no worse than 10% under
+it) stay diffable across commits.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ from typing import Sequence
 
 from ..benchio import bench_envelope, write_bench_json
 from ..core import BatchCascade
-from ..core.batch import BACKEND, compiled_backend_available
+from ..core.batch import compiled_backend_available, default_backend
 from .bench import BENCH_PARAMS, DEFAULT_HORIZON
 from .job import JobResult, SimulationJob
 from .runner import ParallelRunner
@@ -53,9 +47,8 @@ from .shm import shm_available
 __all__ = ["format_batch_table", "run_batch_benchmark"]
 
 #: Acceptance thresholds, evaluated on every run and stored in the
-#: snapshot: the vectorized kernel must clear 10x over the serial
+#: snapshot: the compiled kernel must clear 10x over the serial
 #: cascade; the pure-python kernel must stay within 10% of it.
-NUMPY_SPEEDUP_TARGET = 10.0
 COMPILED_SPEEDUP_TARGET = 10.0
 PYTHON_SPEEDUP_TARGET = 0.9
 
@@ -71,8 +64,8 @@ def _specs(
     ]
 
 
-def _run_backend(specs: list[SimulationJob], backend: str):
-    """One kernel pass; returns (results, phase_seconds)."""
+def _run_backend(specs: list[SimulationJob], backend: str) -> list[JobResult]:
+    """One kernel pass over the whole ensemble."""
     first = specs[0]
     batch = BatchCascade(
         first.params,
@@ -81,11 +74,10 @@ def _run_backend(specs: list[SimulationJob], backend: str):
         backend=backend,
     )
     batch.run(until=first.horizon, stop_on_full_sync=True)
-    results = [
+    return [
         JobResult(first_passages=dict(member.first_time_at_least))
         for member in batch.members
     ]
-    return results, dict(batch.phase_seconds)
 
 
 def run_batch_benchmark(
@@ -116,23 +108,16 @@ def run_batch_benchmark(
     batch_specs = _specs(horizon, seeds, "batch")
     cascade_specs = _specs(horizon, seeds, "cascade")
 
-    backends = ["python"]
-    if BACKEND == "numpy":
-        backends.append("numpy")
     have_compiled = compiled_backend_available()
-    if have_compiled:
-        backends.append("compiled")
+    backends = ["python", "compiled"] if have_compiled else ["python"]
 
     timings: dict[str, float] = {}
-    phases: dict[str, dict[str, float]] = {}
     results: dict[str, list[JobResult]] = {}
 
-    def record(name: str, elapsed: float, outcome, phase=None) -> None:
+    def record(name: str, elapsed: float, outcome) -> None:
         if name not in timings or elapsed < timings[name]:
             timings[name] = elapsed
             results[name] = outcome
-            if phase is not None:
-                phases[name] = phase
 
     # Interleaved rounds: baseline and kernel rows alternate within
     # each rep so shared-box load inflates them together.
@@ -142,10 +127,8 @@ def run_batch_benchmark(
         record("cascade_jobs1", time.perf_counter() - start, serial)
         for backend in backends:
             start = time.perf_counter()
-            outcome, phase = _run_backend(batch_specs, backend)
-            record(
-                f"batch_{backend}", time.perf_counter() - start, outcome, phase
-            )
+            outcome = _run_backend(batch_specs, backend)
+            record(f"batch_{backend}", time.perf_counter() - start, outcome)
 
     # Pooled rows ride once (they wrap the same kernels; their point
     # is transport overhead, not kernel speed).
@@ -175,28 +158,16 @@ def run_batch_benchmark(
         "cpu_count": os.cpu_count(),
         "jobs": jobs,
         "reps": reps,
-        # Which RNG bank the auto-detected default would use; rows
-        # name their backend explicitly.
-        "default_backend": BACKEND,
+        # The backend a batch job gets when none is forced; rows name
+        # their backend explicitly.
+        "default_backend": default_backend(),
         "compiled_available": have_compiled,
         "shm_available": have_shm,
         "timings_seconds": {name: round(t, 4) for name, t in timings.items()},
         "speedup_vs_serial_cascade": speedups,
-        # The kernel's own accounting from each backend's fastest
-        # round: RNG refill vs boundary scan vs cascade resolution.
-        "phase_seconds": {
-            name: {k: round(v, 4) for k, v in split.items()}
-            for name, split in phases.items()
-        },
         "results_identical_across_configs": identical,
         # The PR's acceptance thresholds, evaluated on this box.
         "acceptance": {
-            "numpy_speedup_target": NUMPY_SPEEDUP_TARGET,
-            "numpy_speedup_met": (
-                speedups["batch_numpy"] >= NUMPY_SPEEDUP_TARGET
-                if "batch_numpy" in speedups
-                else None
-            ),
             "compiled_speedup_target": COMPILED_SPEEDUP_TARGET,
             "compiled_speedup_met": (
                 speedups["batch_compiled"] >= COMPILED_SPEEDUP_TARGET
@@ -222,7 +193,6 @@ def format_batch_table(snapshot: dict) -> str:
     labels = {
         "cascade_jobs1": "cascade engine, jobs=1 (baseline)",
         "batch_python": "batch kernel, python backend",
-        "batch_numpy": "batch kernel, numpy backend",
         "batch_compiled": "batch kernel, compiled backend",
         "batch_jobsN": f"batch kernel over pool, jobs={snapshot['jobs']}",
         "batch_jobsN_shm": (
@@ -248,11 +218,6 @@ def format_batch_table(snapshot: dict) -> str:
         lines.append("  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row)))
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
-    for name, split in snapshot.get("phase_seconds", {}).items():
-        parts = ", ".join(f"{k} {v:.3f}s" for k, v in split.items())
-        lines.append(f"{name} phases: {parts}")
-    if "batch_numpy" not in snapshot["timings_seconds"]:
-        lines.append("numpy backend: not installed (row skipped)")
     if not snapshot.get("compiled_available", False):
         lines.append("compiled backend: not resolvable (row skipped)")
     lines.append(

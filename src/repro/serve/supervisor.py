@@ -276,10 +276,12 @@ class Supervisor:
         if self._draining.wait(delay):
             return
         self._crashes[slot] = n + 1
+        # Spawn before counting: a reader that sees the restart must
+        # also see the new worker, not the dead one.
+        self._spawn(slot)
         self.restarts += 1
         self.metrics.counter("serve.workers.restarts").inc()
         obs().metrics.counter("serve.workers.restarts").inc()
-        self._spawn(slot)
 
     def drain(self) -> int:
         """SIGTERM every worker, reap them, close the socket.

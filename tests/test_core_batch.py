@@ -2,18 +2,22 @@
 
 Bit-identity with the serial engines lives in
 ``test_engine_differential.py``; this module covers the batch layer's
-own machinery — backend selection and forcing, constructor
-validation, the ``run_batch`` grouping contract, the runner's
-transparent regrouping (serial and pooled), and the per-job fallback
-when a whole group fails.
+own machinery — backend resolution and forcing, import hygiene, the
+no-compiler fallback, constructor validation, the ``run_batch``
+grouping contract, the runner's transparent regrouping (serial and
+pooled), and the per-job fallback when a whole group fails.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.core.batch as batch_mod
-from repro.core import BatchCascade, RouterTimingParameters
+from repro.core import BatchCascade, CascadeModel, RouterTimingParameters
 from repro.core.batch import BACKEND
 from repro.core.sweeps import time_to_break_up, time_to_synchronize
 from repro.parallel import (
@@ -37,65 +41,20 @@ def jobs_for(seeds, engine="batch", direction="up", horizon=2000.0, tr=0.3):
     ]
 
 
-class TestRngBankStreaming:
-    """The `_BLOCK_BUDGET` soft cap must stream, not degenerate.
-
-    Regression for the refill path at budget-exceeding ensemble sizes
-    (members x routers x draws beyond the soft cap): block length is
-    floored at ``_MIN_BLOCK`` instead of shrinking toward 1-draw
-    blocks, exhausted streams refill in vectorized groups, and none
-    of it may move a single float.
-    """
-
-    def test_budget_exceeding_ensemble_streams_blocks(self, monkeypatch):
-        if BACKEND != "numpy":
-            pytest.skip("numpy not importable")
-        params = RouterTimingParameters(n_nodes=5, tp=20.0, tc=0.11, tr=0.3)
-        seeds = list(range(1, 31))  # 30 members x 5 routers = 150 streams
-        horizon = 30_000.0
-        reference = BatchCascade(params, seeds, backend="numpy")
-        reference.run(until=horizon)
-
-        # 150 streams against a 600-float budget would naively mean
-        # 4-draw blocks; the floor must hold the block at _MIN_BLOCK
-        # and the bank must refill (stream) repeatedly instead.
-        monkeypatch.setattr(batch_mod, "_BLOCK_BUDGET", 600)
-        squeezed = BatchCascade(params, seeds, backend="numpy")
-        squeezed.run(until=horizon)
-        bank = squeezed._bank
-        assert bank is not None
-        assert bank.length == batch_mod._MIN_BLOCK
-        assert bank.refills >= 2
-
-        for k in range(len(seeds)):
-            ref = reference.members[k]
-            got = squeezed.members[k]
-            assert got.first_time_at_least == ref.first_time_at_least
-            assert got.round_times == ref.round_times
-            assert got.total_resets == ref.total_resets
-            assert squeezed.rng_states(k) == reference.rng_states(k)
-
-
 class TestConstruction:
     def test_backend_constant_is_coherent(self):
-        assert BACKEND in batch_mod.BACKENDS
-        # Vectorized/compiled defaults need numpy; without it the
-        # auto-detected (or env-forced) default can only be python.
-        if batch_mod._np is None:
-            assert BACKEND == "python"
-        elif "REPRO_BATCH_BACKEND" not in os.environ:
-            assert BACKEND == "numpy"
+        # Compiled iff the C kernel resolves, else python.
+        expected = (
+            "compiled" if batch_mod.compiled_backend_available() else "python"
+        )
+        assert BACKEND == batch_mod.default_backend() == expected
+        assert BatchCascade(PARAMS, [1]).backend == expected
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown batch backend"):
-            BatchCascade(PARAMS, [1], backend="fortran")
-
-    def test_numpy_backend_requires_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "_np", None)
-        with pytest.raises(RuntimeError, match="numpy backend requested"):
-            BatchCascade(PARAMS, [1], backend="numpy")
-        # The pure-Python backend stays available.
-        BatchCascade(PARAMS, [1], backend="python").run(until=100.0)
+        # numpy is a dependency of the compiled backend, not a backend.
+        for name in ("fortran", "numpy"):
+            with pytest.raises(ValueError, match="unknown batch backend"):
+                BatchCascade(PARAMS, [1], backend=name)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds must be non-empty"):
@@ -106,6 +65,68 @@ class TestConstruction:
             BatchCascade(PARAMS, [1], initial_phases=[0.0])
         with pytest.raises(ValueError, match="must be non-negative"):
             BatchCascade(PARAMS, [1], initial_phases=[0.0, 1.0, -2.0, 3.0, 4.0, 5.0])
+
+
+class TestImportHygiene:
+    def test_package_import_loads_neither_numpy_nor_the_kernel(self):
+        # A fresh interpreter: this process has long since imported both.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        code = (
+            "import sys\n"
+            "import repro.core, repro.parallel, repro.campaign\n"
+            "print(sorted(m for m in ('numpy', 'repro.core._batch_kernel')"
+            " if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
+
+
+class TestNoCompiler:
+    """A box without ``cc`` runs the python backend, and says so."""
+
+    @pytest.fixture
+    def no_compiler(self, monkeypatch, tmp_path):
+        from repro.core import _batch_kernel
+
+        monkeypatch.setattr(_batch_kernel, "_RESOLVED", "unset")
+        empty_bin = tmp_path / "bin"
+        empty_bin.mkdir()
+        monkeypatch.setenv("PATH", str(empty_bin))
+        monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(tmp_path / "ckernel"))
+
+    def test_default_falls_back_to_python(self, no_compiler):
+        assert batch_mod.default_backend() == "python"
+        assert batch_mod.BACKEND == "python"
+        assert not batch_mod.compiled_backend_available()
+
+    def test_compiled_request_raises(self, no_compiler):
+        with pytest.raises(RuntimeError, match="compiled backend requested"):
+            BatchCascade(PARAMS, [1], backend="compiled")
+
+    def test_default_run_matches_cascade(self, no_compiler):
+        batch = BatchCascade(PARAMS, [3], keep_cluster_history=True)
+        assert batch.backend == "python"
+        ends = batch.run(until=5000.0)
+        model = CascadeModel(PARAMS, seed=3, keep_cluster_history=True)
+        end = model.run(until=5000.0)
+        member, tracker = batch.members[0], model.tracker
+        assert ends == [end]
+        assert member.first_time_at_least == tracker.first_time_at_least
+        assert member.first_time_at_most == tracker.first_time_at_most
+        assert member.round_times == tracker.round_times
+        assert member.round_largest == tracker.round_largest
+        assert [(g.time, g.size) for g in member.groups] == [
+            (g.time, g.size) for g in tracker.groups
+        ]
+        assert batch.rng_states(0) == [rng._gen.state for rng in model._rngs]
 
 
 class TestRunBatch:
@@ -123,9 +144,9 @@ class TestRunBatch:
         assert [r.first_passages for r in python] == [
             r.first_passages for r in run_batch(jobs)
         ]
-        if BACKEND == "numpy":
-            numpy = run_batch(jobs, backend="numpy")
-            assert [r.first_passages for r in numpy] == [
+        if batch_mod.compiled_backend_available():
+            compiled = run_batch(jobs, backend="compiled")
+            assert [r.first_passages for r in compiled] == [
                 r.first_passages for r in python
             ]
 

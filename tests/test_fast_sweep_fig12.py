@@ -1,17 +1,14 @@
 """A fig12-style sweep at batch-kernel scale, end to end.
 
-The acceptance scenario for the event-vectorized kernel: a Tr sweep
-at the paper's Figure 12 parameter point with an ensemble size that
-was impractical event-by-event, driven through the full production
-path — ``sweep_tr`` -> ``ParallelRunner`` -> batch kernel, with the
+The acceptance scenario for the batch kernel: a Tr sweep at the
+paper's Figure 12 parameter point with an ensemble size that was
+impractical event-by-event, driven on whichever backend resolves
+through the full production path — ``sweep_tr`` -> ``ParallelRunner`` -> batch kernel, with the
 result cache and checkpoint journal armed — and byte-identical to the
 serial cascade engine at every spot-checked grid point.
 """
 
-import pytest
-
 from repro.core import RouterTimingParameters
-from repro.core.batch import BACKEND
 from repro.core.sweeps import sweep_tr, time_to_synchronize
 from repro.parallel import CheckpointJournal, ParallelRunner, ResultCache, SimulationJob
 
@@ -23,7 +20,6 @@ TR_VALUES = [0.5 * TC, 0.9 * TC, 1.5 * TC]
 SEEDS = tuple(range(1, 26))  # 3 points x 25 seeds = 75 simulations
 
 
-@pytest.mark.skipif(BACKEND != "numpy", reason="vectorized kernel needs numpy")
 def test_fig12_sweep_completes_through_runner_cache_checkpoint(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     journal = CheckpointJournal(tmp_path / "sweep.journal")
@@ -65,7 +61,6 @@ def test_fig12_sweep_completes_through_runner_cache_checkpoint(tmp_path):
     assert cache.hits >= len(results)
 
 
-@pytest.mark.skipif(BACKEND != "numpy", reason="vectorized kernel needs numpy")
 def test_fig12_sweep_resumes_from_checkpoint(tmp_path):
     # The same grid through the same runner path, interrupted halfway:
     # a second runner sharing the journal serves the first half as
