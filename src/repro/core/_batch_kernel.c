@@ -1,8 +1,10 @@
 /* The batch cascade kernel in C: repro_advance_member().
  *
- * Line-for-line translation of repro.core.batch.BatchCascade.
- * _advance_slice (the python backend) over one member's packed arrays;
- * see repro/core/_batch_kernel.py for the state layout.  The spec:
+ * The paper's fully-coupled cascade rule plus a fused cluster tracker
+ * over one member's packed arrays; see repro/core/_batch_kernel.py for
+ * the state layout.  It must reproduce CascadeModel (the Python driver
+ * over repro.topo.advance_coupled with coupling=None) and the DES byte
+ * for byte; tests/test_engine_differential.py checks that.  The spec:
  *
  *   Loop until a status is set.  First reserve headroom (one round
  *   slot, two group slots when history is kept) or return
@@ -26,7 +28,7 @@
  *
  * Built by _batch_kernel._build_clib() with -ffp-contract=off
  * -fno-fast-math: every float operation must round exactly like the
- * python backend (no fused multiply-adds, no reassociation).  Lehmer
+ * Python kernel (no fused multiply-adds, no reassociation).  Lehmer
  * arithmetic stays in int64 (products < 2^46 here).
  */
 

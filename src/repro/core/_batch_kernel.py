@@ -1,13 +1,14 @@
 """The compiled provider for the batch cascade kernel.
 
-:mod:`repro.core.batch`'s ``backend="compiled"`` runs the scalar
-cascade kernel as machine code: ``_batch_kernel.c`` (same directory),
-a line-for-line C translation of ``BatchCascade._advance_slice`` over
-packed flat arrays, is built on demand with the system compiler and
-loaded through :mod:`ctypes`.  The build forbids FP contraction
-(``-ffp-contract=off -fno-fast-math``) so no fused multiply-adds can
-perturb the float stream — the kernel must stay byte-identical to the
-python backend.  :func:`resolve_compiled` returns the kernel callable
+:mod:`repro.core.batch`'s ``backend="compiled"`` runs the
+fully-coupled cascade rule as machine code: ``_batch_kernel.c`` (same
+directory) implements the prose spec in its header over packed flat
+arrays, with a fused cluster tracker; it is built on demand with the
+system compiler and loaded through :mod:`ctypes`.  The build forbids
+FP contraction (``-ffp-contract=off -fno-fast-math``) so no fused
+multiply-adds can perturb the float stream — the kernel must stay
+byte-identical to ``CascadeModel`` and the DES, which the differential
+matrix (``tests/test_engine_differential.py``) checks.  :func:`resolve_compiled` returns the kernel callable
 or None, cached for the process.  NumPy is required (the packed state
 lives in ndarrays); environments without it, or without a C compiler,
 use the python backend.
@@ -171,24 +172,18 @@ class MemberState:
         """Unpack this state into a ``BatchMember``'s public fields."""
         from .clusters import ClusterGroup  # local: avoid cycle at import
 
-        n = self.n
         member.now = float(self.fstate[0])
-        open_time = float(self.fstate[1])
-        member._open_time = None if open_time != open_time else open_time
-        member._open_size = int(self.istate[I_OPEN_SIZE])
-        member._window_resets = int(self.istate[I_WINDOW_RESETS])
-        member._wmax = int(self.istate[I_WMAX])
-        member._ftal_max = int(self.istate[I_FTAL_MAX])
-        member._ftam_min = int(self.istate[I_FTAM_MIN])
-        member._round_fill = int(self.istate[I_ROUND_FILL])
-        member._round_max = int(self.istate[I_ROUND_MAX])
         member.total_resets = int(self.istate[I_TOTAL_RESETS])
         member.total_cascades = int(self.istate[I_TOTAL_CASCADES])
+        # The first-passage keys are contiguous frontiers: at_least
+        # holds {1..ftal_max}, at_most holds {ftam_min..n}.
         member.first_time_at_least = {
-            s: float(self.ftal[s]) for s in range(1, member._ftal_max + 1)
+            s: float(self.ftal[s])
+            for s in range(1, int(self.istate[I_FTAL_MAX]) + 1)
         }
         member.first_time_at_most = {
-            s: float(self.ftam[s]) for s in range(member._ftam_min, n + 1)
+            s: float(self.ftam[s])
+            for s in range(int(self.istate[I_FTAM_MIN]), self.n + 1)
         }
         rc = int(self.round_meta[0])
         member.round_times = self.round_times[:rc].tolist()

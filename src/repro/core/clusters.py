@@ -83,6 +83,11 @@ class ClusterTracker:
         # belonged to; storing per-group (size, count-in-window) pairs.
         self._window: deque[list] = deque()  # entries: [group_size, resets_in_window]
         self._window_resets = 0
+        # Running max of the window's group sizes (largest_in_window):
+        # sizes only grow at the newest entry, so only evicting the
+        # entry that holds a max above 1 needs a rescan (the window
+        # is never empty after an eviction, so a max of 1 stays 1).
+        self._wmax = 0
         # First-passage bookkeeping.
         self.first_time_at_least: dict[int, float] = {}
         self.first_time_at_most: dict[int, float] = {}
@@ -114,6 +119,8 @@ class ClusterTracker:
             self._open_time = time
             self._open_size = 1
             self._window.append([1, 0])
+        if self._open_size > self._wmax:
+            self._wmax = self._open_size
         # The newest reset joins the window.
         self._window[-1][1] += 1
         self._window_resets += 1
@@ -123,6 +130,8 @@ class ClusterTracker:
             self._window_resets -= 1
             if oldest[1] == 0:
                 self._window.popleft()
+                if oldest[0] >= self._wmax > 1:
+                    self._wmax = max(entry[0] for entry in self._window)
         self._note_first_passages(time)
         self._advance_round(time)
 
@@ -154,9 +163,7 @@ class ClusterTracker:
         state i" when the largest cluster from a round of N routing
         messages has size i.
         """
-        if not self._window:
-            return 0
-        return max(entry[0] for entry in self._window)
+        return self._wmax
 
     def is_fully_synchronized(self) -> bool:
         """True when the last N messages form a single simultaneous cluster."""
@@ -186,7 +193,8 @@ class ClusterTracker:
 
     def _advance_round(self, time: float) -> None:
         self._round_fill += 1
-        self._round_max = max(self._round_max, self._open_size)
+        if self._open_size > self._round_max:
+            self._round_max = self._open_size
         if self._round_fill >= self.n_nodes:
             self.round_times.append(time)
             self.round_largest.append(self._round_max)

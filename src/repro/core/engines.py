@@ -15,15 +15,16 @@ Engines
     slowest engine and the semantic reference.
 ``cascade``
     :class:`~repro.core.fastsim.CascadeModel`: one heap of pending
-    expiries, the cascade rule applied directly.  Bit-identical to
+    expiries driven through :func:`repro.topo.advance_coupled`, the
+    one Python implementation of the cascade rule.  Bit-identical to
     the DES, one model per seed.
 ``batch``
-    :class:`~repro.core.batch.BatchCascade`: the cascade rule over a
-    struct-of-arrays ensemble — many seeds advanced by one kernel,
-    bit-identical to ``cascade`` member by member.  Two backends
-    (see :data:`repro.core.batch.BACKENDS`): ``python`` (the
-    zero-dependency scalar reference) and ``compiled`` (the bundled C
-    translation of it, which needs NumPy and ``cc``).  ``compiled`` is
+    :class:`~repro.core.batch.BatchCascade`: a whole ensemble of
+    seeds per call, bit-identical to ``cascade`` member by member.
+    Two backends (see :data:`repro.core.batch.BACKENDS`): ``python``
+    (each member through the same kernel as ``cascade``; zero
+    dependencies) and ``compiled`` (the fully-coupled rule as a
+    bundled C kernel, which needs NumPy and ``cc``).  ``compiled`` is
     the default wherever it builds, else ``python``.  Both are
     enforced byte-identical by ``tests/test_engine_differential.py``.
 """

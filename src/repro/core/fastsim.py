@@ -9,22 +9,24 @@ window starts at ``e1 + Tc`` and grows by ``Tc`` for every further
 expiry that falls inside it; everyone in the cascade resets together
 when the window closes.
 
-:class:`CascadeModel` simulates exactly that rule with a heap of
-pending expiries — no event queue, no per-message bookkeeping.  Run
+That rule lives in one place, :func:`repro.topo.advance_coupled`;
+:class:`CascadeModel` is a driver over it — it owns the heap of
+pending expiries, the per-router streams and the cluster tracker, and
+passes ``coupling=None`` for the paper's fully-coupled model.  Run
 with the same seed, it consumes each router's random stream in the
 same per-router order as the DES and therefore reproduces the DES
 trajectory *bit for bit* (verified in
-``tests/test_core_fastsim.py``), making it both a fast engine for
-large ensembles and an executable proof that the DES implements the
-model it claims to.
+``tests/test_engine_differential.py``), making it both a fast engine
+for large ensembles and an executable proof that the DES implements
+the model it claims to.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Literal, Sequence
 
 from ..rng import RandomSource
+from ..topo import advance_coupled, bind_topology
 from .clusters import ClusterTracker
 from .parameters import RouterTimingParameters
 
@@ -60,10 +62,9 @@ class CascadeModel:
         string form) restricting which routers hear which resets.
         ``None`` and any coupling whose generated graph is complete
         (``"clique"``, a 3-ring, ``erdos_renyi`` with p=1, ...) run
-        the original fully-coupled loop byte for byte; everything
-        else runs the generalized multi-cascade kernel
-        (:func:`repro.topo.advance_coupled`).  Stream derivation and
-        phase draws are identical either way.
+        the kernel fully coupled (``coupling=None``), so their results
+        and cache keys are the clique's; stream derivation and phase
+        draws never depend on the topology.
     """
 
     def __init__(
@@ -78,15 +79,7 @@ class CascadeModel:
         self.params = params
         self.probe = probe
         n = params.n_nodes
-        self.topology = None
-        self._coupling = None
-        if topology is not None:
-            from ..topo import Coupling, ensure_spec
-
-            self.topology = ensure_spec(topology)
-            coupling = Coupling(self.topology, n)
-            if not coupling.is_complete:
-                self._coupling = coupling
+        self.topology, self._coupling = bind_topology(topology, n)
         self.tracker = ClusterTracker(n, keep_history=keep_cluster_history, probe=probe)
         master = RandomSource(seed=seed)
         self._rngs = [master.spawn(i) for i in range(n)]
@@ -103,10 +96,10 @@ class CascadeModel:
                 raise ValueError("initial phases must be non-negative")
         # Heap of (expiry_time, node). Ties break on node id, which
         # matches the DES's FIFO tie-break for the initial schedule.
+        # A sorted list is already a heap.
         self._heap: list[tuple[float, int]] = sorted(
             (phase, node) for node, phase in enumerate(phases)
         )
-        heapq.heapify(self._heap)
         self.now = 0.0
         self.total_cascades = 0
 
@@ -118,69 +111,28 @@ class CascadeModel:
     ) -> float:
         """Advance cascades until the horizon or a stop condition."""
         params = self.params
-        tc = params.tc
-        heap = self._heap
-        tracker = self.tracker
-        if self._coupling is not None:
-            from ..topo import advance_coupled
+        # rng.uniform(low, high), with its operands hoisted: the same
+        # floats in the same order, so the same bits.
+        low = params.tp - params.tr
+        span = (params.tp + params.tr) - low
+        randoms = [rng.random for rng in self._rngs]
 
-            low = params.tp - params.tr
-            high = params.tp + params.tr
-            rngs = self._rngs
+        def draw(node: int) -> float:
+            return low + span * randoms[node]()
 
-            def draw(node: int) -> float:
-                return rngs[node].uniform(low, high)
-
-            stop_time, closed, stopped = advance_coupled(
-                heap,
-                self._coupling,
-                tracker,
-                draw,
-                tc,
-                until,
-                stop_on_full_sync=stop_on_full_sync,
-                stop_on_full_unsync=stop_on_full_unsync,
-                probe=self.probe,
-            )
-            self.total_cascades += closed
-            self.now = stop_time if stopped else max(self.now, until)
-            return self.now
-        while heap and heap[0][0] <= until:
-            popped = [heapq.heappop(heap)]
-            window = popped[0][0] + tc
-            while heap and heap[0][0] <= window:
-                popped.append(heapq.heappop(heap))
-                window += tc
-            if window > until:
-                # The cascade's busy period outlives the horizon: the
-                # DES would not process these resets either.  Restore
-                # the pending expiries and stop (a later run() call
-                # with a larger horizon picks up exactly here).
-                for entry in popped:
-                    heapq.heappush(heap, entry)
-                self.now = until
-                tracker.finish()
-                return self.now
-            group = [node for _expiry, node in popped]
-            self.total_cascades += 1
-            self.now = window
-            if self.probe is not None:
-                self.probe.on_cascade(window, popped)
-            for node in group:
-                tracker.record_reset(window, node)
-            for node in group:
-                interval = self._rngs[node].uniform(
-                    params.tp - params.tr, params.tp + params.tr
-                )
-                heapq.heappush(heap, (window + interval, node))
-            if stop_on_full_sync and tracker.is_fully_synchronized():
-                tracker.finish()
-                return self.now
-            if stop_on_full_unsync and tracker.is_fully_unsynchronized():
-                tracker.finish()
-                return self.now
-        self.now = max(self.now, until)
-        tracker.finish()
+        stop_time, closed = advance_coupled(
+            self._heap,
+            self._coupling,
+            self.tracker,
+            draw,
+            params.tc,
+            until,
+            stop_on_full_sync=stop_on_full_sync,
+            stop_on_full_unsync=stop_on_full_unsync,
+            probe=self.probe,
+        )
+        self.total_cascades += closed
+        self.now = max(self.now, until) if stop_time is None else stop_time
         return self.now
 
     @property

@@ -76,11 +76,11 @@ class BirthDeathChain:
     def transition_matrix(self) -> "np.ndarray":
         """The full (n x n) row-stochastic transition matrix.
 
-        The dense-matrix views (this, :meth:`hitting_times_dense`,
-        :meth:`stationary_distribution`) are the only numpy users in
-        the chain; numpy is imported lazily so the recursion-based
-        hitting times — and everything built on them, including the
-        prediction surrogate — stay pure-Python.
+        The dense-matrix views (this and :meth:`hitting_times_dense`)
+        are the only numpy users in the chain; numpy is imported
+        lazily so the recursion-based hitting times, the stationary
+        distribution, and everything built on them (including the
+        prediction surrogate) stay pure-Python.
         """
         import numpy as np
 
@@ -156,32 +156,43 @@ class BirthDeathChain:
 
     # -- long-run behaviour -----------------------------------------------------
 
-    def stationary_distribution(self) -> "np.ndarray":
-        """The stationary distribution, by dense linear solve.
+    def stationary_distribution(self) -> list[float]:
+        """The stationary distribution ``pi[i-1]`` of state ``i``.
 
-        Birth--death chains are reversible, but the dense solve also
-        handles the degenerate cases (absorbing end states) that arise
-        at extreme parameter values.
+        Pure Python, by the birth--death product form.  The states
+        split into intervals whose neighbours communicate both ways;
+        inside one, detailed balance gives ``pi_{i+1} = pi_i p_i /
+        q_{i+1}`` (computed in logs, so extreme ratios cannot
+        overflow).  Transient intervals get no mass.  A single closed
+        interval carries all of it; with several (a reducible chain,
+        e.g. both end states absorbing) each closed interval's own
+        distribution ``pi_c`` is weighted by ``1 / |pi_c|^2`` — the
+        minimum-norm solution of ``pi (P - I) = 0, sum(pi) = 1``,
+        which is the one a least-squares solve picks.
         """
-        import numpy as np
-
-        matrix = self.transition_matrix()
-        # Solve pi (P - I) = 0 with sum(pi) = 1: replace one equation.
-        a = (matrix.T - np.eye(self.n)).copy()
-        a[-1, :] = 1.0
-        b = np.zeros(self.n)
-        b[-1] = 1.0
-        try:
-            pi = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            # Reducible chain (e.g. multiple absorbing states): fall
-            # back to least squares, which picks one valid solution.
-            pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-        pi = np.clip(pi, 0.0, None)
-        total = pi.sum()
-        if total <= 0:
-            raise ArithmeticError("stationary distribution solve failed")
-        return pi / total
+        n = self.n
+        up, down = self.up, self.down
+        pi = [0.0] * n
+        parts: list[tuple[int, list[float], float]] = []
+        start = 0
+        for i in range(n):
+            if i + 1 < n and up[i] > 0.0 and down[i + 1] > 0.0:
+                continue  # i and i+1 communicate: the interval goes on
+            if down[start] == 0.0 and up[i] == 0.0:  # no way out: closed
+                logs = [0.0]
+                for j in range(start, i):
+                    logs.append(logs[-1] + math.log(up[j]) - math.log(down[j + 1]))
+                top = max(logs)
+                weights = [math.exp(v - top) for v in logs]
+                total = sum(weights)
+                dist = [w / total for w in weights]
+                parts.append((start, dist, sum(v * v for v in dist)))
+            start = i + 1
+        scale = sum(1.0 / norm for _start, _dist, norm in parts)
+        for first, dist, norm in parts:
+            for offset, mass in enumerate(dist):
+                pi[first + offset] = mass / (norm * scale)
+        return pi
 
     def simulate(
         self,

@@ -107,7 +107,7 @@ def stationary_fraction_below(
     if not 1 <= max_cluster_size <= times.chain.n:
         raise ValueError("max_cluster_size outside state space")
     pi = times.chain.stationary_distribution()
-    return float(pi[:max_cluster_size].sum())
+    return sum(pi[:max_cluster_size])
 
 
 def transition_sharpness(

@@ -6,7 +6,8 @@ figure averages 20 of these members — through every execution
 configuration:
 
 * ``cascade_jobs1``   — the serial cascade engine, the PR-1 baseline.
-* ``batch_python``    — the batch kernel, pure-Python scalar path
+* ``batch_python``    — the batch engine's python backend: each
+  member through the same kernel ``cascade`` drives, so about 1x
   (the portable floor; no numpy required).
 * ``batch_compiled``  — the bundled C kernel; reported when it
   resolves (``compiled_available`` says whether it did).
@@ -48,7 +49,7 @@ __all__ = ["format_batch_table", "run_batch_benchmark"]
 
 #: Acceptance thresholds, evaluated on every run and stored in the
 #: snapshot: the compiled kernel must clear 10x over the serial
-#: cascade; the pure-python kernel must stay within 10% of it.
+#: cascade; the python backend must stay within 10% of it.
 COMPILED_SPEEDUP_TARGET = 10.0
 PYTHON_SPEEDUP_TARGET = 0.9
 
@@ -192,8 +193,8 @@ def format_batch_table(snapshot: dict) -> str:
     rows = [("configuration", "wall-clock (s)", "speedup vs serial cascade")]
     labels = {
         "cascade_jobs1": "cascade engine, jobs=1 (baseline)",
-        "batch_python": "batch kernel, python backend",
-        "batch_compiled": "batch kernel, compiled backend",
+        "batch_python": "batch engine, python backend",
+        "batch_compiled": "batch engine, compiled backend",
         "batch_jobsN": f"batch kernel over pool, jobs={snapshot['jobs']}",
         "batch_jobsN_shm": (
             f"batch kernel over pool + shm slabs, jobs={snapshot['jobs']}"

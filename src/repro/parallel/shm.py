@@ -28,11 +28,13 @@ byte-identical to pickle transport.
 
 Cleanup is the parent's job: :meth:`ResultSlab.destroy` runs in the
 runner's ``finally`` so the segment is unlinked on normal exit, on an
-``on_error="raise"`` drain, and when workers crash.  Workers attach
-read-write but never unlink; attaching also unregisters the segment
-from their ``resource_tracker`` so a worker exit cannot reap a
-segment the parent still owns (CPython's tracker would otherwise
-unlink it).
+``on_error="raise"`` drain, and when workers crash.  The parent is the
+segment's only owner, in the ``resource_tracker`` too: workers attach
+read-write without registering the segment, so no worker exit can
+reap it and no worker can take the parent's registration away (pool
+workers share the parent's tracker, so a worker-side ``unregister``
+would, and the parent's unlink would then make the tracker print a
+``KeyError`` traceback).
 """
 
 from __future__ import annotations
@@ -108,20 +110,21 @@ class ResultSlab:
     def attach(cls, name: str, rows: int, n_max: int) -> "ResultSlab":
         """Map an existing slab by name (worker side).
 
-        Unregisters the mapping from this process's resource tracker:
-        the parent owns the segment's lifetime, and without this a
-        worker exit would unlink a segment the parent is still
-        reading (CPython registers attachments too).
+        The mapping is never registered with the resource tracker:
+        the parent owns the segment's lifetime (see the module
+        docstring).
         """
-        from multiprocessing import shared_memory
+        from multiprocessing import resource_tracker, shared_memory
 
-        shm = shared_memory.SharedMemory(name=name)
-        try:  # pragma: no cover - tracker internals vary by version
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # lint: allow-swallow
-            pass  # best-effort: tracker API is private and version-dependent
+        try:
+            shm = shared_memory.SharedMemory(name=name, track=False)
+        except TypeError:  # Python < 3.13 has no track=; attach registers
+            register = resource_tracker.register
+            resource_tracker.register = lambda name, rtype: None
+            try:
+                shm = shared_memory.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = register
         return cls(shm, rows, n_max, owner=False)
 
     # -- row protocol --------------------------------------------------------

@@ -5,13 +5,14 @@ over an arbitrary graph: :class:`TopologySpec` names a graph family
 (clique, ring, star, b-ary tree, Erdős–Rényi, time-varying switching
 schedules) with deterministic seed-keyed generation;
 :class:`Coupling` binds a spec to a node count; and
-:func:`advance_coupled` is the generalized multi-cascade kernel shared
-by the cascade and batch engines.  A complete coupling (``"clique"``,
-or any spec whose generated graph is complete) dispatches to the
-original fully-coupled engine paths, byte for byte.
+:func:`advance_coupled` is the cascade rule itself — the one Python
+implementation, driven by the cascade engine and the batch engine's
+python path on every topology.  A complete coupling (``"clique"``, or
+any spec whose generated graph is complete) is passed to it as None,
+the paper's fully-coupled model, byte for byte.
 """
 
-from .coupling import Coupling
+from .coupling import Coupling, bind_topology
 from .kernel import advance_coupled
 from .spec import (
     KINDS,
@@ -31,6 +32,7 @@ __all__ = [
     "TopologySpec",
     "adjacency",
     "advance_coupled",
+    "bind_topology",
     "components",
     "diameter",
     "ensure_spec",

@@ -4,19 +4,18 @@ A :class:`Coupling` is a :class:`~repro.topo.spec.TopologySpec`
 instantiated on a concrete node count.  It answers the one question
 the generalized cascade kernel asks — "may node ``v``'s expiry at time
 ``t`` join a cascade containing node ``u``?" — and reports whether the
-graph is *complete at all times*, which is the engines' dispatch
-condition: a complete coupling is exactly the paper's fully-coupled
-model, so :class:`~repro.core.fastsim.CascadeModel` and
-:class:`~repro.core.batch.BatchCascade` route complete couplings to
-their original single-cascade code paths untouched (byte-identical
-results, cache keys, and consumed-RNG positions included).
+graph is *complete at all times*.  A complete coupling is exactly the
+paper's fully-coupled model: :func:`bind_topology` hands the engines
+None for it, and the kernel reads None as "every pair is adjacent"
+(same bytes as the evaluated graph, no adjacency tests; cache keys
+and consumed-RNG positions are the clique's).
 """
 
 from __future__ import annotations
 
 from .spec import TopologySpec, adjacency, ensure_spec
 
-__all__ = ["Coupling"]
+__all__ = ["Coupling", "bind_topology"]
 
 
 class Coupling:
@@ -80,3 +79,19 @@ class Coupling:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Coupling({self.spec.canonical()!r}, n={self.n})"
+
+
+def bind_topology(topology, n: int):
+    """``(spec, coupling)`` for an engine's ``topology=`` argument.
+
+    ``spec`` is the normalized :class:`TopologySpec` (None when
+    ``topology`` is None).  ``coupling`` is the bound
+    :class:`Coupling`, or None when the graph is complete at all
+    times — the cascade kernel's fully-coupled case, which needs no
+    adjacency tests.
+    """
+    if topology is None:
+        return None, None
+    spec = ensure_spec(topology)
+    coupling = Coupling(spec, n)
+    return spec, (None if coupling.is_complete else coupling)

@@ -1,10 +1,11 @@
 """Cross-engine differential matrix: des == cascade == batch, byte for byte.
 
-Three (four, counting both batch backends) entirely different programs
-claim to produce the *same floating-point trajectory* from the same
-seed: the discrete-event queue, the cascade-rule heap, the pure-Python
-struct-of-arrays kernel, and its compiled C translation.  This module is
-the single place that claim is enforced — a parametrized grid over
+Three entirely different programs claim to produce the *same
+floating-point trajectory* from the same seed: the discrete-event
+queue, the Python cascade kernel (``repro.topo.advance_coupled``,
+driven by ``CascadeModel`` and by the batch engine's python backend),
+and the compiled C kernel behind ``backend="compiled"``.  This module
+is the single place that claim is enforced — a parametrized grid over
 (N, Tp, Tc, Tr) x initial phases x censoring, comparing first-passage
 times, cluster histories, round series, and the *consumed positions of
 every RNG stream* with ``==``, never ``approx``.
@@ -183,18 +184,36 @@ def test_batch_members_match_singletons():
 
 
 def test_batch_backends_identical_mid_run():
-    """Backends agree not just at the end but across resumed horizons."""
-    if not HAVE_COMPILED:
-        pytest.skip("compiled backend unavailable")
+    """Backends agree with CascadeModel across resumed horizons.
+
+    Every batch backend and one CascadeModel per seed run the same
+    clique to a series of horizons; after each one every member must
+    agree on ``now``, ``total_cascades``, stream positions and cluster
+    output.
+    """
     params = RouterTimingParameters(n_nodes=8, tp=20.0, tc=0.3, tr=1.0)
-    py = BatchCascade(params, [5, 6], backend="python")
-    compiled = BatchCascade(params, [5, 6], backend="compiled")
-    for horizon in (500.0, 1500.0, 4000.0):
-        ends = py.run(until=horizon)
-        assert compiled.run(until=horizon) == ends
-        for k in range(2):
-            assert py.rng_states(k) == compiled.rng_states(k)
-            assert py.members[k].round_times == compiled.members[k].round_times
+    seeds = [5, 6]
+    batches = [
+        BatchCascade(params, seeds, backend=backend, keep_cluster_history=True)
+        for backend in BACKENDS_UNDER_TEST
+    ]
+    models = [
+        CascadeModel(params, seed=seed, keep_cluster_history=True)
+        for seed in seeds
+    ]
+    for horizon in (500.0, 1500.0, 1500.0, 4000.0):
+        ends = [model.run(until=horizon) for model in models]
+        for batch in batches:
+            assert batch.run(until=horizon) == ends, batch.backend
+            for k, model in enumerate(models):
+                member = batch.members[k]
+                assert member.total_cascades == model.total_cascades
+                assert batch.rng_states(k) == [
+                    rng._gen.state for rng in model._rngs
+                ]
+                assert _trace(member, member.now, None, None) == _trace(
+                    model.tracker, model.now, None, None
+                ), (batch.backend, horizon, k)
 
 
 def run_cascade_topo(params, seed, horizon, phases, stops, topology):

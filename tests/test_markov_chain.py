@@ -127,12 +127,27 @@ class TestHittingTimes:
         assert chain.hitting_time(n, 1) == pytest.approx(dense_bottom[-1], rel=1e-8)
 
 
+def _lstsq_stationary(chain):
+    """Reference: solve pi (P - I) = 0, sum(pi) = 1 densely.
+
+    Least squares returns the minimum-norm solution, which is unique
+    even when the chain is reducible and the system singular.
+    """
+    matrix = chain.transition_matrix()
+    a = (matrix.T - np.eye(chain.n)).copy()
+    a[-1, :] = 1.0
+    b = np.zeros(chain.n)
+    b[-1] = 1.0
+    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return pi
+
+
 class TestStationary:
     def test_stationary_sums_to_one_and_is_invariant(self):
         chain = simple_chain()
         pi = chain.stationary_distribution()
-        assert pi.sum() == pytest.approx(1.0)
-        assert np.allclose(pi @ chain.transition_matrix(), pi, atol=1e-10)
+        assert sum(pi) == pytest.approx(1.0)
+        assert np.allclose(np.array(pi) @ chain.transition_matrix(), pi, atol=1e-10)
 
     def test_detailed_balance_holds(self):
         chain = simple_chain()
@@ -144,6 +159,35 @@ class TestStationary:
         chain = BirthDeathChain(up=[0.5, 0.5, 0.0], down=[0.0, 0.0, 0.0])
         pi = chain.stationary_distribution()
         assert pi[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "up,down",
+        [
+            ([0.5, 0.3, 0.2, 0.0], [0.0, 0.1, 0.1, 0.4]),  # irreducible
+            ([0.5, 0.5, 0.0], [0.0, 0.0, 0.0]),  # absorbing top
+            ([0.0, 0.3, 0.0], [0.0, 0.2, 0.0]),  # both ends absorbing
+            ([0.0, 0.3, 0.2, 0.0], [0.0, 0.2, 0.0, 0.4]),  # absorbing 1, closed {3,4}
+            ([0.3, 0.0, 0.2, 0.0], [0.0, 0.2, 0.0, 0.4]),  # closed {1,2} and {3,4}
+            ([0.3, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0]),  # transient-free split
+            ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),  # every state absorbing
+        ],
+    )
+    def test_product_form_matches_dense_solve(self, up, down):
+        chain = BirthDeathChain(up, down)
+        pi = chain.stationary_distribution()
+        assert np.allclose(pi, _lstsq_stationary(chain), atol=1e-12)
+        assert np.allclose(np.array(pi) @ chain.transition_matrix(), pi, atol=1e-12)
+
+    def test_product_form_matches_dense_solve_on_paper_chains(self):
+        from repro.core import RouterTimingParameters
+        from repro.markov import synchronization_times
+
+        paper = RouterTimingParameters(n_nodes=20, tp=121.0, tc=0.11, tr=0.1)
+        for ratio in (0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 6.0):
+            chain = synchronization_times(paper.with_tr(ratio * 0.11), f2=19.0).chain
+            pi = chain.stationary_distribution()
+            assert sum(pi) == pytest.approx(1.0)
+            assert np.allclose(pi, _lstsq_stationary(chain), atol=1e-8), ratio
 
 
 class TestSimulate:

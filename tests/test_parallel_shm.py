@@ -277,3 +277,39 @@ def test_degrades_to_pickle_when_shm_unavailable(monkeypatch):
     specs = _specs(seeds=range(4))
     runner = ParallelRunner(jobs=2, chunk_size=2, transport="shm")
     assert runner.run(specs) == ParallelRunner(jobs=1).run(specs)
+
+
+def test_no_resource_tracker_traceback_on_stderr():
+    # Pool workers share the parent's resource tracker.  A worker that
+    # touches the segment's registration (unregistering it on attach)
+    # removes the parent's own entry, and the parent's unlink then
+    # makes the tracker print a KeyError traceback.  Run the job set
+    # in a fresh interpreter so the tracker's stderr is captured.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from repro.parallel import ParallelRunner, SimulationJob\n"
+        "jobs = [SimulationJob(n_nodes=4, tp=20.0, tc=0.2, tr=2.0, seed=s,\n"
+        "                      horizon=400.0, engine='batch') for s in range(8)]\n"
+        "out = ParallelRunner(jobs=2, chunk_size=2, transport='shm',\n"
+        "                     cache=None).run(jobs)\n"
+        "assert len(out) == 8\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "resource_tracker" not in proc.stderr, proc.stderr
+    assert "KeyError" not in proc.stderr, proc.stderr

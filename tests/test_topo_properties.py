@@ -3,9 +3,10 @@
 The structural guarantees, each checked over generated cases
 (``tests/_gen.py``):
 
-* the generalized kernel, forced onto a complete graph, reproduces
-  the fully-coupled fast path byte for byte (this is the analytic
-  clique-collapse argument of DESIGN.md §13, executed);
+* the kernel with ``coupling=None`` (what the engines pass for a
+  complete coupling) and with an evaluated complete graph give the
+  same bytes, resumed or stopped (the analytic clique-collapse
+  argument of DESIGN.md §13, executed);
 * graph generation is a pure function of (spec, n) — same seed, same
   graph, different seed, usually different graph;
 * rings: the diameter grows monotonically with n while clique
@@ -32,6 +33,8 @@ from repro.topo import (
     Coupling,
     TopologySpec,
     adjacency,
+    advance_coupled,
+    bind_topology,
     components,
     diameter,
     ensure_spec,
@@ -140,9 +143,50 @@ class TestGraphMetrics:
         assert mean_degree(adjacency(parse_topology("clique"), 10)) == 9.0
 
 
+def _kernel_trace(params, seed, coupling, horizons, phases="unsynchronized", **stops):
+    """Drive :func:`advance_coupled` directly over a fresh model's state.
+
+    Runs the kernel once per horizon (resuming in between) with the
+    given ``coupling`` and returns everything it can touch: the
+    pending heap, the tracker's outputs, every stream's position, and
+    each call's ``(stop_time, closed)``.
+    """
+    model = CascadeModel(
+        params, seed=seed, initial_phases=phases, keep_cluster_history=True
+    )
+    low = params.tp - params.tr
+    high = params.tp + params.tr
+    calls = [
+        advance_coupled(
+            model._heap,
+            coupling,
+            model.tracker,
+            lambda node: model._rngs[node].uniform(low, high),
+            params.tc,
+            horizon,
+            **stops,
+        )
+        for horizon in horizons
+    ]
+    tracker = model.tracker
+    return (
+        calls,
+        sorted(model._heap),
+        [(g.time, g.size) for g in tracker.groups],
+        _trace(model)[2:],
+    )
+
+
 class TestKernelCliqueCollapse:
-    def test_forced_kernel_on_complete_graph_matches_fast_path(self):
-        """The generalized kernel IS the paper's rule on a clique."""
+    """``coupling=None`` is the evaluated complete graph, byte for byte.
+
+    The engines pass None for complete couplings so clique runs do no
+    adjacency tests; the kernel with an evaluated
+    ``Coupling("clique", n)`` must give the same bytes (this is the
+    analytic clique-collapse argument of DESIGN.md §13, executed).
+    """
+
+    def test_none_and_evaluated_clique_give_same_bytes(self):
         gen = CaseGen(23)
         for _ in range(6):
             n = gen.randint(2, 10)
@@ -150,26 +194,27 @@ class TestKernelCliqueCollapse:
             tr = round(gen.uniform(0.0, 3.0), 3)
             seed = gen.randint(1, 10_000)
             params = RouterTimingParameters(n, 20.0, tc, tr)
-            forced = CascadeModel(params, seed=seed, keep_cluster_history=True)
-            forced._coupling = Coupling("clique", n)  # bypass the dispatch
-            baseline = CascadeModel(
-                params, seed=seed, keep_cluster_history=True
+            span = 20.0 + tc
+            horizons = (13.0 * span, 27.5 * span, 40.0 * span)
+            evaluated = _kernel_trace(params, seed, Coupling("clique", n), horizons)
+            assert evaluated == _kernel_trace(params, seed, None, horizons), (
+                n, tc, tr, seed,
             )
-            horizon = 40.0 * (20.0 + tc)
-            forced.run(horizon)
-            baseline.run(horizon)
-            assert _trace(forced) == _trace(baseline), (n, tc, tr, seed)
 
-    def test_forced_kernel_respects_stop_conditions(self):
-        params = RouterTimingParameters(6, 20.0, 0.5, 0.4)
-        forced = CascadeModel(params, seed=3)
-        forced._coupling = Coupling("clique", 6)
-        baseline = CascadeModel(params, seed=3)
-        horizon = 1e6
-        assert forced.run(horizon, stop_on_full_sync=True) == baseline.run(
-            horizon, stop_on_full_sync=True
-        )
-        assert forced.synchronization_time == baseline.synchronization_time
+    def test_none_and_evaluated_clique_same_stops(self):
+        for flag, phases, tr in (
+            ("stop_on_full_sync", "unsynchronized", 0.4),
+            ("stop_on_full_unsync", "synchronized", 8.0),
+        ):
+            params = RouterTimingParameters(6, 20.0, 0.5, tr)
+            stops = {flag: True}
+            evaluated = _kernel_trace(
+                params, 3, Coupling("clique", 6), (1e6,), phases, **stops
+            )
+            none = _kernel_trace(params, 3, None, (1e6,), phases, **stops)
+            assert evaluated == none
+            stop_time, _closed = none[0][0]
+            assert stop_time is not None, flag  # the stop really fired
 
 
 class TestNoSyncSmoke:
@@ -260,10 +305,16 @@ class TestSwitching:
         assert coupling.adjacency_at(10.0) == star_adj
         assert coupling.adjacency_at(20.0) == ring_adj
 
-    def test_all_complete_phases_dispatch_to_fast_path(self):
+    def test_all_complete_switching_phases_collapse_to_none(self):
         spec = parse_topology("switching(clique|clique,period=10.0)")
-        assert Coupling(spec, 9).is_complete
+        coupling = Coupling(spec, 9)
+        assert coupling.is_complete
+        assert bind_topology(spec, 9) == (spec, None)
         params = RouterTimingParameters(9, 20.0, 0.3, 1.0)
+        horizons = (700.0, 2000.0)
+        assert _kernel_trace(params, 4, coupling, horizons) == _kernel_trace(
+            params, 4, None, horizons
+        )
         a = CascadeModel(params, seed=4, topology=spec)
         b = CascadeModel(params, seed=4)
         a.run(2000.0)
