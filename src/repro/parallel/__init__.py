@@ -51,13 +51,12 @@ from .job import (
     JobResult,
     SimulationJob,
     batch_group_key,
+    batch_groups,
     run_batch,
     run_job,
     run_jobs,
-    validate_engine,
 )
 from .report import OUTCOMES, JobRecord, RunReport
-from .shm import ResultSlab, run_jobs_shm, shm_available
 from .runner import (
     JobTimeoutError,
     ParallelRunner,
@@ -86,12 +85,12 @@ __all__ = [
     "JobTimeoutError",
     "ParallelRunner",
     "ResultCache",
-    "ResultSlab",
     "RunReport",
     "RunnerStats",
     "SimulationJob",
     "TransientInjectedError",
     "batch_group_key",
+    "batch_groups",
     "deterministic_jitter",
     "format_batch_table",
     "format_table",
@@ -101,7 +100,4 @@ __all__ = [
     "run_benchmark",
     "run_job",
     "run_jobs",
-    "run_jobs_shm",
-    "shm_available",
-    "validate_engine",
 ]

@@ -11,17 +11,13 @@ configuration:
   (the portable floor; no numpy required).
 * ``batch_compiled``  — the bundled C kernel; reported when it
   resolves (``compiled_available`` says whether it did).
-* ``batch_jobsN``     — batch jobs over the process pool, pickle
-  transport.
-* ``batch_jobsN_shm`` — the same pool with shared-memory result
-  slabs (:mod:`repro.parallel.shm`).
+* ``batch_jobsN``     — batch jobs over the process pool.
 
-Timing discipline: the serial baseline and the backend rows are
-measured **interleaved** over ``reps`` rounds and the per-row minimum
-is reported — on a shared box the minimum of interleaved rounds is
-the honest estimate of each configuration's cost, because background
-load inflates all rows in the same rounds instead of whichever row
-ran last.
+Timing discipline: every row is measured **interleaved** over
+``reps`` rounds and the per-row minimum is reported — on a shared box
+the minimum of interleaved rounds is the honest estimate of each
+configuration's cost, because background load inflates all rows in
+the same rounds instead of whichever row ran last.
 
 All rows must produce identical first-passage times (checked on every
 bench run), so the table is a pure wall-clock comparison.  The
@@ -40,10 +36,9 @@ from typing import Sequence
 from ..benchio import bench_envelope, write_bench_json
 from ..core import BatchCascade
 from ..core.batch import compiled_backend_available, default_backend
-from .bench import BENCH_PARAMS, DEFAULT_HORIZON
+from .bench import BENCH_PARAMS, DEFAULT_HORIZON, _specs
 from .job import JobResult, SimulationJob
 from .runner import ParallelRunner
-from .shm import shm_available
 
 __all__ = ["format_batch_table", "run_batch_benchmark"]
 
@@ -52,17 +47,6 @@ __all__ = ["format_batch_table", "run_batch_benchmark"]
 #: cascade; the python backend must stay within 10% of it.
 COMPILED_SPEEDUP_TARGET = 10.0
 PYTHON_SPEEDUP_TARGET = 0.9
-
-
-def _specs(
-    horizon: float, seeds: Sequence[int], engine: str
-) -> list[SimulationJob]:
-    return [
-        SimulationJob(
-            seed=seed, horizon=horizon, direction="up", engine=engine, **BENCH_PARAMS
-        )
-        for seed in seeds
-    ]
 
 
 def _run_backend(specs: list[SimulationJob], backend: str) -> list[JobResult]:
@@ -120,8 +104,8 @@ def run_batch_benchmark(
             timings[name] = elapsed
             results[name] = outcome
 
-    # Interleaved rounds: baseline and kernel rows alternate within
-    # each rep so shared-box load inflates them together.
+    # Interleaved rounds: every row runs once per rep so shared-box
+    # load inflates them together.
     for _rep in range(reps):
         start = time.perf_counter()
         serial = ParallelRunner(jobs=1).run(cascade_specs)
@@ -130,20 +114,10 @@ def run_batch_benchmark(
             start = time.perf_counter()
             outcome = _run_backend(batch_specs, backend)
             record(f"batch_{backend}", time.perf_counter() - start, outcome)
-
-    # Pooled rows ride once (they wrap the same kernels; their point
-    # is transport overhead, not kernel speed).
-    pooled_runner = ParallelRunner(jobs=jobs)
-    start = time.perf_counter()
-    pooled = pooled_runner.run(batch_specs)
-    record("batch_jobsN", time.perf_counter() - start, pooled)
-
-    have_shm = shm_available()
-    if have_shm:
-        shm_runner = ParallelRunner(jobs=jobs, transport="shm")
+        pooled_runner = ParallelRunner(jobs=jobs)
         start = time.perf_counter()
-        shipped = shm_runner.run(batch_specs)
-        record("batch_jobsN_shm", time.perf_counter() - start, shipped)
+        pooled = pooled_runner.run(batch_specs)
+        record("batch_jobsN", time.perf_counter() - start, pooled)
 
     reference = results["cascade_jobs1"]
     identical = all(row == reference for row in results.values())
@@ -163,7 +137,6 @@ def run_batch_benchmark(
         # their backend explicitly.
         "default_backend": default_backend(),
         "compiled_available": have_compiled,
-        "shm_available": have_shm,
         "timings_seconds": {name: round(t, 4) for name, t in timings.items()},
         "speedup_vs_serial_cascade": speedups,
         "results_identical_across_configs": identical,
@@ -196,9 +169,6 @@ def format_batch_table(snapshot: dict) -> str:
         "batch_python": "batch engine, python backend",
         "batch_compiled": "batch engine, compiled backend",
         "batch_jobsN": f"batch kernel over pool, jobs={snapshot['jobs']}",
-        "batch_jobsN_shm": (
-            f"batch kernel over pool + shm slabs, jobs={snapshot['jobs']}"
-        ),
     }
     for name, seconds in snapshot["timings_seconds"].items():
         rows.append(

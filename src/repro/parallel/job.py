@@ -32,11 +32,10 @@ __all__ = [
     "JobResult",
     "SimulationJob",
     "batch_group_key",
+    "batch_groups",
     "run_batch",
     "run_job",
     "run_jobs",
-    "run_jobs_observed",
-    "validate_engine",
 ]
 
 #: Bump whenever a change alters simulation trajectories (RNG streams,
@@ -45,11 +44,6 @@ __all__ = [
 MODEL_VERSION = "fj93-model-1"
 
 _DIRECTIONS = ("up", "down")
-
-#: Back-compat alias: engine validation now lives in
-#: :func:`repro.core.engines.resolve_engine`, the one shared check.
-validate_engine = resolve_engine
-
 
 @dataclass(frozen=True)
 class SimulationJob:
@@ -103,7 +97,7 @@ class SimulationJob:
             raise ValueError(
                 f"unknown direction {self.direction!r}; known: {', '.join(_DIRECTIONS)}"
             )
-        validate_engine(self.engine)
+        resolve_engine(self.engine)
         from ..topo import ensure_spec
 
         spec = ensure_spec(self.topology)
@@ -232,9 +226,9 @@ def run_job(
 ) -> JobResult:
     """Execute one job and return its first-passage record.
 
-    Pure: the result depends only on the job spec.  Both engines use
-    the same per-seed RNG stream derivation, so the choice of engine
-    does not change the trajectory for the pure periodic model.
+    Pure: the result depends only on the job spec.  All three engines
+    use the same per-seed RNG stream derivation, so the choice of
+    engine does not change the trajectory for the pure periodic model.
 
     ``faults`` is an optional
     :class:`~repro.parallel.faults.FaultPlan` consulted *before*
@@ -292,10 +286,29 @@ def batch_group_key(job: SimulationJob) -> tuple:
     )
 
 
+def batch_groups(
+    jobs: Sequence[SimulationJob], regroup: bool = True
+) -> tuple[list[int], list[list[int]]]:
+    """Split job positions into jobs run alone and shared-kernel groups.
+
+    Batch-engine jobs agreeing on :func:`batch_group_key` form one
+    group for :func:`run_batch`; a group of one and every other job
+    run alone.  ``regroup=False`` — a fault plan is armed, or this is
+    a retry — runs every job alone, so fault hooks and attempt
+    accounting see each job.  Positions keep input order.
+    """
+    groups: dict[tuple, list[int]] = {}
+    if regroup:
+        for i, job in enumerate(jobs):
+            if job.engine == "batch":
+                groups.setdefault(batch_group_key(job), []).append(i)
+    shared = [group for group in groups.values() if len(group) > 1]
+    grouped = {i for group in shared for i in group}
+    return [i for i in range(len(jobs)) if i not in grouped], shared
+
+
 def run_batch(
-    jobs: Sequence[SimulationJob],
-    backend: str | None = None,
-    out: tuple | None = None,
+    jobs: Sequence[SimulationJob], backend: str | None = None
 ) -> list[JobResult]:
     """Execute a group of same-parameter jobs through one batch kernel.
 
@@ -305,13 +318,6 @@ def run_batch(
     the jobs stay individually cacheable and checkpointable.
     ``backend`` forces the kernel ("python"/"compiled"); None uses
     the default (:func:`repro.core.batch.default_backend`).
-
-    ``out`` — an optional ``(slab, row_indices)`` pair (see
-    :class:`repro.parallel.shm.ResultSlab`) — streams each member's
-    first-passage record straight into shared memory instead of
-    building :class:`JobResult` objects; the call then returns ``[]``.
-    This is the pool's zero-pickle result path: the float64 rows hold
-    exactly the values the returned objects would.
     """
     jobs = list(jobs)
     if not jobs:
@@ -335,14 +341,6 @@ def run_batch(
         stop_on_full_sync=up,
         stop_on_full_unsync=not up,
     )
-    if out is not None:
-        slab, row_indices = out
-        for row, member in zip(row_indices, batch.members):
-            slab.write_row(
-                row,
-                member.first_time_at_least if up else member.first_time_at_most,
-            )
-        return []
     return [
         JobResult(
             first_passages=dict(
@@ -354,83 +352,60 @@ def run_batch(
 
 
 def run_jobs(
-    jobs: Sequence[SimulationJob], faults=None, attempt: int = 0
-) -> list[JobResult]:
-    """Execute a chunk of jobs (the pool worker entry point).
+    jobs: Sequence[SimulationJob],
+    faults=None,
+    attempt: int = 0,
+    trace: bool = False,
+    profile: bool = False,
+) -> tuple[list[JobResult], list, list[dict]]:
+    """Execute a chunk of jobs: the one pool worker entry point.
 
-    Batch-engine jobs in the chunk are regrouped by parameter point
-    and advanced through shared kernels — this is the "batch within a
-    worker" half of the fan-out; the runner's chunking is the other.
-    Results always come back in input order.
+    Returns ``(results, spans, profile_rows)``.  Results come back in
+    input order.  Batch-engine jobs are regrouped by parameter point
+    (:func:`batch_groups`) and advanced through shared kernels — the
+    "batch within a worker" half of the fan-out; the runner's chunking
+    is the other.
 
     The fault plan (picklable, stateless) travels to the worker with
     the chunk, so injected worker-side failures are as deterministic
     as the simulations themselves.  When a plan is armed, batch jobs
     run one by one through :func:`run_job` so the plan sees the same
     per-job hook sequence on every engine.
-    """
-    jobs = list(jobs)
-    results: list[JobResult | None] = [None] * len(jobs)
-    groups: dict[tuple, list[int]] = {}
-    for i, job in enumerate(jobs):
-        if job.engine == "batch" and faults is None:
-            groups.setdefault(batch_group_key(job), []).append(i)
-        else:
-            results[i] = run_job(job, faults, attempt)
-    for indices in groups.values():
-        outcomes = run_batch([jobs[i] for i in indices])
-        for i, result in zip(indices, outcomes):
-            results[i] = result
-    return results
 
-
-def run_jobs_observed(
-    jobs: Sequence[SimulationJob],
-    faults=None,
-    attempt: int = 0,
-    trace: bool = True,
-    profile: bool = False,
-) -> tuple[list[JobResult], list, list[dict]]:
-    """The observed pool entry point: results plus span/profile payloads.
-
-    Used instead of :func:`run_jobs` when the parent's obs runtime is
-    on.  The worker runs the chunk under a *local* tracer (workers
-    never share the parent's global runtime), wraps each job in a
-    ``job.run`` span, and returns ``(results, spans, profile_rows)``
-    — the spans and rows are picklable records the parent ingests, so
-    a pooled run yields one coherent multi-process trace.  The results
-    list is computed by the identical :func:`run_job` calls, keeping
-    the byte-identity guarantee trivially intact.
+    ``trace`` runs the chunk under a *local* tracer (workers never
+    share the parent's global runtime) with a ``worker.chunk`` span
+    around ``job.run``/``batch.run`` spans; ``profile`` collects
+    cProfile rows.  Both are picklable records the parent ingests, so
+    a pooled run yields one coherent multi-process trace.  With both
+    off the two lists come back empty and no per-job key is hashed.
     """
     from ..obs.spans import Tracer
 
     tracer = Tracer(enabled=trace)
     profile_rows: list[dict] = []
     jobs = list(jobs)
-    slots: list[JobResult | None] = [None] * len(jobs)
+    results: list[JobResult | None] = [None] * len(jobs)
+    singles, groups = batch_groups(jobs, regroup=faults is None)
 
     def execute() -> None:
         with tracer.span("worker.chunk", jobs=len(jobs), attempt=attempt):
-            groups: dict[tuple, list[int]] = {}
-            for i, job in enumerate(jobs):
-                if job.engine == "batch" and faults is None:
-                    groups.setdefault(batch_group_key(job), []).append(i)
-                    continue
+            for i in singles:
+                job = jobs[i]
                 with tracer.span(
                     "job.run",
-                    key=job.cache_key()[:12],
+                    key=job.cache_key()[:12] if trace else "",
                     seed=job.seed,
                     engine=job.engine,
                     direction=job.direction,
                     n_nodes=job.n_nodes,
                     attempt=attempt,
                 ):
-                    slots[i] = run_job(job, faults, attempt)
-            for indices in groups.values():
+                    results[i] = run_job(job, faults, attempt)
+            for indices in groups:
                 members = [jobs[i] for i in indices]
                 with tracer.span(
                     "batch.run",
-                    key=members[0].cache_key()[:12],
+                    key=members[0].cache_key()[:12] if trace else "",
                     members=len(members),
                     engine="batch",
                     direction=members[0].direction,
@@ -438,7 +413,7 @@ def run_jobs_observed(
                     attempt=attempt,
                 ):
                     for i, result in zip(indices, run_batch(members)):
-                        slots[i] = result
+                        results[i] = result
 
     if profile:
         from ..obs.profile import profiled
@@ -447,4 +422,4 @@ def run_jobs_observed(
             execute()
     else:
         execute()
-    return slots, tracer.drain(), profile_rows
+    return results, tracer.drain(), profile_rows

@@ -58,17 +58,8 @@ from ..obs import obs
 from .cache import ResultCache
 from .checkpoint import CheckpointJournal
 from .faults import FaultPlan
-from .job import (
-    JobResult,
-    SimulationJob,
-    batch_group_key,
-    run_batch,
-    run_job,
-    run_jobs,
-    run_jobs_observed,
-)
+from .job import JobResult, SimulationJob, batch_groups, run_batch, run_job, run_jobs
 from .report import RunReport
-from .shm import ResultSlab, run_jobs_shm, shm_available
 
 __all__ = [
     "JobTimeoutError",
@@ -97,10 +88,6 @@ def deterministic_jitter(key: str, attempt: int) -> float:
     """
     digest = hashlib.sha256(f"{key}:{attempt}".encode("ascii")).digest()
     return 0.5 + int.from_bytes(digest[:8], "big") / 2**64
-
-
-#: Backwards-compatible module-private alias (pre-serve spelling).
-_jitter = deterministic_jitter
 
 
 @dataclass
@@ -164,15 +151,11 @@ class ParallelRunner:
         Optional :class:`~repro.parallel.faults.FaultPlan` — the
         deterministic chaos hook, threaded through to workers and the
         cache.  ``None`` in production.
-    transport:
-        How pooled workers return results.  ``"pickle"`` (default)
-        ships :class:`JobResult` objects through the pool.  ``"shm"``
-        has workers write first-passage rows into one shared-memory
-        slab (see :mod:`repro.parallel.shm`) and pickle only an
-        acknowledgement — byte-identical results, no per-job
-        deserialization in the parent.  Degrades to pickle when
-        shared memory is unavailable or observability payloads must
-        ride along; ignored when ``jobs == 1`` (nothing is shipped).
+
+    Pooled workers return their results by pickle through the pool
+    (:func:`~repro.parallel.job.run_jobs`, the one worker entry
+    point); a result is a first-passage dict of at most N floats, so
+    there is nothing for a second transport to save.
     """
 
     jobs: int = 1
@@ -184,7 +167,6 @@ class ParallelRunner:
     on_error: str = "raise"
     checkpoint: CheckpointJournal | None = None
     faults: FaultPlan | None = None
-    transport: str = "pickle"
     stats: RunnerStats = field(default_factory=RunnerStats, init=False)
     report: RunReport = field(default_factory=RunReport, init=False)
 
@@ -201,8 +183,6 @@ class ParallelRunner:
             raise ValueError("backoff_base must be >= 0")
         if self.on_error not in ("raise", "censor"):
             raise ValueError('on_error must be "raise" or "censor"')
-        if self.transport not in ("pickle", "shm"):
-            raise ValueError('transport must be "pickle" or "shm"')
 
     def run(self, specs: Sequence[SimulationJob]) -> list[JobResult]:
         """Execute every spec; results come back in spec order."""
@@ -304,29 +284,18 @@ class ParallelRunner:
         fail: Callable,
         first_attempt: int,
     ) -> None:
-        singles: list[tuple[int, SimulationJob]] = []
-        groups: dict[tuple, list[tuple[int, SimulationJob]]] = {}
         # Batch-engine jobs sharing a parameter point advance through
-        # one kernel (same grouping the pool workers apply inside
-        # run_jobs).  Chaos runs and fallback retries stay per-job so
-        # fault hooks and attempt accounting keep their semantics.
-        if self.faults is None and first_attempt == 0:
-            for index, spec in pending:
-                if spec.engine == "batch":
-                    groups.setdefault(batch_group_key(spec), []).append(
-                        (index, spec)
-                    )
-                else:
-                    singles.append((index, spec))
-        else:
-            singles = list(pending)
-        for group in groups.values():
-            if len(group) == 1:
-                singles.append(group[0])
-            else:
-                self._run_batch_group(group, commit, fail)
-        singles.sort(key=lambda entry: entry[0])
-        for index, spec in singles:
+        # one kernel (the grouping the pool workers apply in run_jobs).
+        # Chaos runs and fallback retries stay per-job so fault hooks
+        # and attempt accounting keep their semantics.
+        singles, groups = batch_groups(
+            [spec for _index, spec in pending],
+            regroup=self.faults is None and first_attempt == 0,
+        )
+        for group in groups:
+            self._run_batch_group([pending[p] for p in group], commit, fail)
+        for p in singles:
+            index, spec = pending[p]
             self._run_single(index, spec, commit, fail, first_attempt)
 
     def _run_batch_group(
@@ -461,7 +430,8 @@ class ParallelRunner:
         if self.backoff_base <= 0:
             return
         delay = self.backoff_base * 2 ** (attempt - 1)
-        sleep_for = min(delay * _jitter(spec.cache_key(), attempt), BACKOFF_CAP)
+        jitter = deterministic_jitter(spec.cache_key(), attempt)
+        sleep_for = min(delay * jitter, BACKOFF_CAP)
         o = obs()
         with o.span("runner.backoff", attempt=attempt, seconds=sleep_for):
             time.sleep(sleep_for)
@@ -487,9 +457,6 @@ class ParallelRunner:
         fail: Callable,
     ) -> None:
         o = obs()
-        # Ship the observed worker entry point only when something
-        # would collect its payloads; the plain path stays untouched.
-        observed = o.enabled or o.profile
         chunks = self._chunks(pending)
         try:
             pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(chunks)))
@@ -505,26 +472,6 @@ class ParallelRunner:
             self.stats.fallback += len(pending)
             self._run_serial(pending, commit, fail, first_attempt=0)
             return
-
-        # Shared-memory transport: one slab row per pending job,
-        # workers write in place, the parent reads committed rows.
-        # Degrades silently to pickle when shm can't be used — the
-        # transports are byte-identical, so this only costs speed.
-        slab: ResultSlab | None = None
-        row_of: dict[int, int] = {}
-        if self.transport == "shm" and not observed and shm_available():
-            try:
-                n_max = max(spec.n_nodes for _index, spec in pending)
-                slab = ResultSlab.create(len(pending), n_max)
-                row_of = {index: r for r, (index, _s) in enumerate(pending)}
-            except OSError as error:
-                o.emit(
-                    "runner.shm_fallback",
-                    f"shared-memory slab unavailable "
-                    f"({type(error).__name__}); using pickle transport",
-                    error=repr(error),
-                )
-                slab = None
 
         # (chunk, error, was_timeout) for every chunk lost in the pool.
         lost: list[tuple[list[tuple[int, SimulationJob]], BaseException, bool]] = []
@@ -545,34 +492,16 @@ class ParallelRunner:
         # Per-chunk submit times (monotonic) — the worker.chunk span's
         # start minus this is the chunk's pool queueing delay.
         submitted_at: dict[Future, float] = {}
-        # Jobs whose worker survived but whose slab row never got its
-        # commit flag (a torn write): re-run in-process, never read.
-        torn: list[tuple[int, SimulationJob]] = []
         try:
             for chunk in chunks:
-                specs_only = [spec for _index, spec in chunk]
-                if observed:
-                    future = pool.submit(
-                        run_jobs_observed,
-                        specs_only,
-                        self.faults,
-                        0,
-                        o.enabled,
-                        o.profile,
-                    )
-                elif slab is not None:
-                    future = pool.submit(
-                        run_jobs_shm,
-                        specs_only,
-                        slab.name,
-                        slab.rows,
-                        slab.n_max,
-                        [row_of[index] for index, _spec in chunk],
-                        self.faults,
-                        0,
-                    )
-                else:
-                    future = pool.submit(run_jobs, specs_only, self.faults, 0)
+                future = pool.submit(
+                    run_jobs,
+                    [spec for _index, spec in chunk],
+                    self.faults,
+                    0,
+                    o.enabled,
+                    o.profile,
+                )
                 submitted_at[future] = time.monotonic()
                 chunk_of[future] = chunk
             outstanding = set(chunk_of)
@@ -616,7 +545,7 @@ class ParallelRunner:
                 for future in done:
                     chunk = chunk_of[future]
                     try:
-                        payload = future.result()
+                        chunk_results, spans, profile_rows = future.result()
                     except Exception as error:
                         # Worker died (BrokenProcessPool, OOM kill),
                         # pickling trouble, or the job itself raised:
@@ -624,39 +553,15 @@ class ParallelRunner:
                         # re-classifies per job.
                         lost.append((chunk, error, False))
                         continue
-                    if slab is not None:
-                        # Only committed rows are results; an unset
-                        # flag means the write tore mid-row.
-                        for index, spec in chunk:
-                            fp = slab.read_row(row_of[index])
-                            if fp is None:
-                                torn.append((index, spec))
-                                continue
-                            commit(
-                                index,
-                                spec,
-                                JobResult(first_passages=fp),
-                                attempts=1,
-                            )
-                            self.stats.pooled += 1
-                        continue
-                    if observed:
-                        chunk_results, spans, profile_rows = payload
-                        self._ingest_chunk(
-                            o, spans, profile_rows, submitted_at.get(future)
-                        )
-                    else:
-                        chunk_results = payload
+                    self._ingest_chunk(
+                        o, spans, profile_rows, submitted_at.get(future)
+                    )
                     for (index, spec), result in zip(chunk, chunk_results):
                         commit(index, spec, result, attempts=1)
                         self.stats.pooled += 1
         finally:
             # Timed-out workers may still be running; don't block on them.
             pool.shutdown(wait=not lost, cancel_futures=True)
-            if slab is not None:
-                # Unlink on every exit path — normal completion, an
-                # on_error="raise" drain, or a crashed worker.
-                slab.destroy()
 
         for chunk, error, was_timeout in lost:
             o.emit(
@@ -680,23 +585,6 @@ class ParallelRunner:
                 # starts at attempt 1 with the deadline still enforced.
                 self._run_single(index, spec, commit, fail, first_attempt=1)
 
-        for index, spec in torn:
-            error = RuntimeError(
-                f"shm result row for job {spec.cache_key()[:12]} was never "
-                "committed (torn write)"
-            )
-            o.emit(
-                "runner.shm_torn",
-                f"uncommitted shm row for job {spec.cache_key()[:12]}; "
-                + ("no retry budget" if self.retries == 0 else "re-running in-process"),
-                seed=spec.seed,
-            )
-            if self.retries == 0:
-                fail(index, spec, error, attempts=1, timed_out=False)
-                continue
-            self.stats.fallback += 1
-            self._run_single(index, spec, commit, fail, first_attempt=1)
-
     def _ingest_chunk(
         self,
         o,
@@ -710,7 +598,8 @@ class ParallelRunner:
         Linux, so worker and parent timelines line up); the chunk's
         queueing delay — ``worker.chunk`` start minus submit time —
         lands in the ``runner.queue_delay_seconds`` histogram; profile
-        rows accumulate for the post-run merge.
+        rows accumulate for the post-run merge.  With obs off both
+        lists are empty and nothing happens.
         """
         if spans:
             o.tracer.ingest(spans)

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 import repro.core.batch as batch_mod
+from repro import obs as obs_runtime
 from repro.core import BatchCascade, CascadeModel, RouterTimingParameters
 from repro.core.batch import BACKEND
 from repro.core.sweeps import time_to_break_up, time_to_synchronize
@@ -188,18 +189,40 @@ class TestRunnerIntegration:
             r.first_passages for r in serial
         ]
 
-    def test_mixed_parameter_points_regroup_correctly(self):
-        jobs = (
-            jobs_for([1, 2])
-            + jobs_for([1, 2], horizon=5000.0)
-            + jobs_for([3], direction="down", tr=1.2)
+    @pytest.mark.parametrize("obs_on", [False, True], ids=["obs-off", "obs-on"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_parameter_points_regroup_correctly(self, jobs, obs_on):
+        # Interleaved so each pool chunk of 4 holds a non-contiguous
+        # batch group next to lone batch and cascade jobs.
+        down = dict(direction="down", tr=1.2)
+        jobs_list = (
+            jobs_for([1])
             + jobs_for([9], engine="cascade")
+            + jobs_for([1], horizon=5000.0)
+            + jobs_for([2])
+            + jobs_for([3], **down)
+            + jobs_for([2], horizon=5000.0)
+            + jobs_for([4], **down)
+            + jobs_for([10], engine="cascade")
         )
-        got = ParallelRunner(jobs=1, cache=None).run(jobs)
-        expected = [run_job(job) for job in jobs]
-        assert [r.first_passages for r in got] == [
-            r.first_passages for r in expected
-        ]
+        expected = [run_job(job) for job in jobs_list]
+        obs_runtime.reset()
+        try:
+            if obs_on:
+                obs_runtime.configure(enabled=True)
+            got = ParallelRunner(jobs=jobs, cache=None, chunk_size=4).run(
+                jobs_list
+            )
+            names = {r.name for r in obs_runtime.obs().tracer.records}
+        finally:
+            obs_runtime.reset()
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in expected]
+        if obs_on:
+            assert "batch.run" in names and "job.run" in names
+            if jobs > 1:
+                assert "worker.chunk" in names
+        else:
+            assert names == set()
 
     def test_group_failure_falls_back_to_per_job(self, monkeypatch):
         import repro.parallel.runner as runner_mod

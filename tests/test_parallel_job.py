@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import RouterTimingParameters
 from repro.core.sweeps import time_to_break_up, time_to_synchronize
-from repro.parallel import JobResult, SimulationJob, run_job, validate_engine
+from repro.core.engines import resolve_engine
+from repro.parallel import JobResult, SimulationJob, run_job
 
 FAST = RouterTimingParameters(n_nodes=5, tp=20.0, tc=0.3, tr=0.1)
 
@@ -46,8 +47,8 @@ class TestSimulationJob:
         with pytest.raises(ValueError, match="horizon"):
             SimulationJob.from_params(FAST, seed=1, horizon=0.0)
         with pytest.raises(ValueError):
-            validate_engine("warp")
-        assert validate_engine("cascade") == "cascade"
+            resolve_engine("warp")
+        assert resolve_engine("cascade") == "cascade"
 
 
 class TestJobResult:
