@@ -1,9 +1,10 @@
 """Perf snapshot for the parallel execution layer.
 
-Times the fixed 20-seed Figure 10 ensemble through the four
-configurations of :func:`repro.parallel.run_benchmark` (seed-style DES
-serial, cascade serial, cascade pooled, cascade pooled + warm cache)
-and asserts the layer's two perf claims (the committed
+Times the fixed 20-seed Figure 10 ensemble through the configurations
+of the ``parallel`` workload of :mod:`repro.bench` (seed-style DES
+serial, cascade serial with obs off and on, cascade pooled, cascade
+pooled + warm cache; each the minimum of interleaved rounds) and
+asserts the layer's two perf claims (the committed
 ``BENCH_parallel.json`` is written by ``python -m repro bench``, not
 here):
 
@@ -21,24 +22,22 @@ from __future__ import annotations
 
 import os
 
-from repro.parallel import run_benchmark
+from repro.bench import format_table, run_benchmark
 
 
-def test_parallel_runner_snapshot(benchmark, tmp_path, capsys):
+def test_parallel_runner_snapshot(benchmark, capsys):
     jobs = min(4, os.cpu_count() or 1)
     snapshot = benchmark.pedantic(
-        lambda: run_benchmark(jobs=jobs, cache_root=tmp_path / "cache"),
+        lambda: run_benchmark("parallel", jobs=jobs),
         iterations=1,
         rounds=1,
     )
     with capsys.disabled():
-        from repro.parallel import format_table
-
         print()
         print(format_table(snapshot))
 
-    timings = snapshot["timings_seconds"]
-    assert snapshot["results_identical_across_configs"]
+    timings = {name: row["seconds"] for name, row in snapshot["rows"].items()}
+    assert snapshot["checks"]["results_identical_across_configs"]
     # Most of the 20 seeds reach full sync within the 2e5 s horizon.
     assert snapshot["runs_synchronized"] >= 10
     # The engine switch alone carries the headline speedup; the pool's

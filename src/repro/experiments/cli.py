@@ -9,10 +9,9 @@ Usage::
     repro-sync fig10 --no-cache        # force recomputation
     repro-sync fig10 --resume          # journal + resume interrupted runs
     repro-sync fig10 --engine batch    # batched ensemble engine (same numbers)
-    repro-sync bench                   # parallel-layer perf snapshot
-    repro-sync bench --obs             # obs-overhead snapshot (BENCH_obs.json)
-    repro-sync bench --serve           # loopback serving snapshot (BENCH_serve.json)
-    repro-sync bench --batch           # batched-kernel snapshot (BENCH_batch.json)
+    repro-sync bench                   # fig10 + obs rows -> BENCH_parallel.json
+    repro-sync bench serve             # one workload: parallel (default), batch,
+                                       #   serve, campaign, predict -> BENCH_<name>.json
     repro-sync serve --port 8793       # run the simulation-serving API
     repro-sync loadgen --clients 8     # seeded load against a running server
     repro-sync cache verify            # audit results/cache/ entries
@@ -27,12 +26,10 @@ Usage::
     repro-sync campaign report study.toml -o report.json # tables from cache
     repro-sync campaign shard study.toml --shard 0/4     # shard manifest
     repro-sync campaign report study.toml --plot         # ASCII curves
-    repro-sync bench --campaign        # dispatch-overhead snapshot (BENCH_campaign.json)
     repro-sync predict build table-spec.toml     # campaign -> prediction table
     repro-sync predict eval TABLE --point 10,20,0.3,0.1  # one surrogate answer
     repro-sync predict verify TABLE    # audit bounds on fresh seeds
     repro-sync serve --predict-table TABLE       # enable POST /v1/predict
-    repro-sync bench --predict         # surrogate-vs-simulate snapshot (BENCH_predict.json)
     repro-sync fig10 --trace results/trace.jsonl   # record a trace
     repro-sync obs summary results/trace.jsonl     # aggregate it
     repro-sync obs export-trace results/trace.jsonl  # -> Perfetto JSON
@@ -114,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
             "for 'claims': list (default) | gc; "
             "for 'campaign': run (default) | status | report | shard; "
             "for 'predict': build (default) | eval | verify; "
-            "for 'obs': summary (default) | export-trace | top"
+            "for 'obs': summary (default) | export-trace | top; "
+            "for 'bench': parallel (default) | batch | serve | campaign | predict"
         ),
     )
     parser.add_argument(
@@ -229,49 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet",
         action="store_true",
         help="silence warning-level events (errors still print)",
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help=(
-            "for the 'bench' target: measure observability on/off overhead "
-            "and write BENCH_obs.json instead of the parallel benchmark"
-        ),
-    )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help=(
-            "for the 'bench' target: run the loopback serving benchmark "
-            "and write BENCH_serve.json instead of the parallel benchmark"
-        ),
-    )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "for the 'bench' target: benchmark the batched kernel "
-            "(engine=batch, both backends) against the serial cascade "
-            "engine and write BENCH_batch.json"
-        ),
-    )
-    parser.add_argument(
-        "--campaign",
-        action="store_true",
-        help=(
-            "for the 'bench' target: benchmark campaign dispatch (local "
-            "pool vs loopback serve fleet, warm-cache row) and write "
-            "BENCH_campaign.json"
-        ),
-    )
-    parser.add_argument(
-        "--predict",
-        action="store_true",
-        help=(
-            "for the 'bench' target: benchmark the prediction tier "
-            "(surrogate vs warm-cache /v1/simulate, bound audit, "
-            "fallback byte-identity) and write BENCH_predict.json"
-        ),
     )
     predict = parser.add_argument_group(
         "prediction options (the 'predict' target)"
@@ -911,80 +866,21 @@ def _run_predict(args) -> int:
 
 
 def _run_bench(args) -> int:
-    """The 'bench' target: emit and print the parallel perf snapshot."""
-    if args.predict:
-        from ..predict.bench import format_predict_table, run_predict_benchmark
+    """The 'bench' target: run one declared workload, write its snapshot."""
+    from ..bench import WORKLOADS, format_table, run_benchmark
 
-        output = "BENCH_predict.json"
-        snapshot = run_predict_benchmark(jobs=args.jobs, output=output)
-        print(format_predict_table(snapshot))
-        print(f"snapshot written to {output}")
-        ok = (
-            snapshot["verify"]["all_in_bound"]
-            and snapshot["fallback"]["byte_identical"]
-            and snapshot["fallback"]["out_of_range_falls_back"]
+    name = args.action or "parallel"
+    if name not in WORKLOADS:
+        print(
+            f"error: unknown bench workload {name!r} (use {', '.join(WORKLOADS)})",
+            file=sys.stderr,
         )
-        return 0 if ok else 1
-    if args.campaign:
-        from ..campaign.bench import format_campaign_table, run_campaign_benchmark
-
-        output = "BENCH_campaign.json"
-        snapshot = run_campaign_benchmark(jobs=args.jobs, output=output)
-        print(format_campaign_table(snapshot))
-        print(f"snapshot written to {output}")
-        ok = (
-            snapshot["reports_identical_local_vs_serve"]
-            and snapshot["warm_served_entirely_from_cache"]
-        )
-        return 0 if ok else 1
-    if args.batch:
-        from ..parallel import format_batch_table, run_batch_benchmark
-
-        output = "BENCH_batch.json"
-        snapshot = run_batch_benchmark(jobs=args.jobs, output=output)
-        print(format_batch_table(snapshot))
-        print(f"snapshot written to {output}")
-        return 0 if snapshot["results_identical_across_configs"] else 1
-    if args.serve:
-        from ..serve.bench import format_serve_table, run_serve_benchmark
-
-        output = "BENCH_serve.json"
-        snapshot = run_serve_benchmark(jobs=args.jobs, output=output)
-        print(format_serve_table(snapshot))
-        print(f"snapshot written to {output}")
-        fleet = snapshot.get("fleet") or {}
-        ok = (
-            snapshot["payloads_identical_cold_vs_warm"]
-            and snapshot["warm_served_entirely_from_cache"]
-            and all(
-                row["payloads_identical_cold_vs_warm"]
-                for row in fleet.get("sweep", ())
-            )
-            and (
-                not fleet
-                or (
-                    fleet["restart"]["exactly_once_per_key"]
-                    and fleet["restart"]["drain_exit_code"] == 0
-                )
-            )
-        )
-        return 0 if ok else 1
-    if args.obs:
-        from ..obs.bench import format_obs_table, run_obs_benchmark
-
-        output = "BENCH_obs.json"
-        snapshot = run_obs_benchmark(output=output)
-        print(format_obs_table(snapshot))
-        print(f"snapshot written to {output}")
-        ok = snapshot["within_budget"] and snapshot["results_identical_with_obs"]
-        return 0 if ok else 1
-    from ..parallel import format_table, run_benchmark
-
-    output = "BENCH_parallel.json"
-    snapshot = run_benchmark(jobs=args.jobs, output=output)
+        return 2
+    output = WORKLOADS[name].output
+    snapshot = run_benchmark(name, jobs=args.jobs, output=output)
     print(format_table(snapshot))
     print(f"snapshot written to {output}")
-    return 0 if snapshot["results_identical_across_configs"] else 1
+    return 0 if snapshot["ok"] else 1
 
 
 def _run_obs(args) -> int:
@@ -1140,13 +1036,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.quiet and args.verbose:
         print("error: --quiet and --verbose are mutually exclusive", file=sys.stderr)
         return 2
-    if sum((args.obs, args.serve, args.batch, args.campaign, args.predict)) > 1:
-        print(
-            "error: --obs, --serve, --batch, --campaign, and --predict "
-            "are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
     if args.engine is not None:
         from ..core.engines import resolve_engine
 
@@ -1164,11 +1053,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
     if args.action is not None and args.target not in (
-        "cache", "claims", "campaign", "predict", "obs"
+        "cache", "claims", "campaign", "predict", "obs", "bench"
     ):
         print(
             "error: an action argument is only valid with the "
-            "'cache', 'claims', 'campaign', 'predict', or 'obs' targets",
+            "'cache', 'claims', 'campaign', 'predict', or 'obs' targets, "
+            "or as the workload name of 'bench'",
             file=sys.stderr,
         )
         return 2

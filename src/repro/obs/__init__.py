@@ -10,7 +10,8 @@ everywhere (and are enforced by ``tests/test_obs_inert.py``):
   output is byte-identical with observability on or off.
 * **Cheap when off**: the disabled path is a flag check plus shared
   null objects; the measured overhead of *on* vs *off* on the Fig-10
-  ensemble benchmark is recorded in ``BENCH_obs.json`` (<5%).
+  ensemble is the ``cascade_jobs1_obs`` row of ``BENCH_parallel.json``
+  (<5%).
 
 The process-global runtime is a single :class:`Obs` bundle reached
 through :func:`obs`; it starts disabled.  The CLI (``--trace``,

@@ -10,8 +10,8 @@ registry hands every caller the same shared null instrument, whose
 methods are empty.  Instrumented code can therefore call
 ``obs().metrics.counter("runner.jobs.ok").inc()`` unconditionally —
 with observability off the cost is a dict miss and two no-op calls,
-which is what keeps the Fig-10 overhead budget (<5%, see
-``BENCH_obs.json``) honest.
+which is what keeps the Fig-10 overhead budget (<5%, the obs row
+of ``BENCH_parallel.json``) honest.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ fallbacks and resumes preserve that identity (asserted in
 ``tests/test_parallel_faults.py``).
 """
 
-from .bench import format_table, run_benchmark
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .checkpoint import DEFAULT_CHECKPOINT_DIR, CheckpointJournal, resolve_checkpoint
 from .claims import DEFAULT_CLAIM_TTL, Claim, ClaimRegistry
@@ -44,7 +43,6 @@ from .faults import (
     InjectedFaultError,
     TransientInjectedError,
 )
-from .bench_batch import format_batch_table, run_batch_benchmark
 from .job import (
     ENGINES,
     MODEL_VERSION,
@@ -92,12 +90,8 @@ __all__ = [
     "batch_group_key",
     "batch_groups",
     "deterministic_jitter",
-    "format_batch_table",
-    "format_table",
     "resolve_checkpoint",
     "run_batch",
-    "run_batch_benchmark",
-    "run_benchmark",
     "run_job",
     "run_jobs",
 ]

@@ -127,24 +127,26 @@ class TestArgumentValidation:
 
 class TestBenchObs:
     def test_bench_obs_writes_snapshot(self, capsys, tmp_path, monkeypatch):
-        import repro.obs.bench as bench_mod
+        import repro.bench as bench_mod
 
-        real_benchmark = bench_mod.run_obs_benchmark
+        real_benchmark = bench_mod.run_benchmark
 
-        def tiny_benchmark(horizon=None, seeds=(1,), repeats=1, output=None):
+        def tiny_benchmark(name, jobs=None, output=None):
             return real_benchmark(
-                horizon=5000.0, seeds=(1, 2), repeats=1, output=output
+                name, jobs=1, output=output, horizon=5000.0, seeds=(1, 2)
             )
 
-        monkeypatch.setattr(bench_mod, "run_obs_benchmark", tiny_benchmark)
-        code = main(["bench", "--obs"])
+        monkeypatch.setattr(bench_mod, "run_benchmark", tiny_benchmark)
+        code = main(["bench"])
         out = capsys.readouterr().out
         assert "obs overhead" in out
-        assert "snapshot written to BENCH_obs.json" in out
-        snapshot = json.loads((tmp_path / "BENCH_obs.json").read_text())
-        assert snapshot["results_identical_with_obs"] is True
+        assert "snapshot written to BENCH_parallel.json" in out
+        snapshot = json.loads((tmp_path / "BENCH_parallel.json").read_text())
+        assert set(snapshot["rows"]) >= {"cascade_jobs1", "cascade_jobs1_obs"}
+        assert snapshot["checks"]["results_identical_with_obs"] is True
+        assert snapshot["spans_per_run"] > 0
         assert "overhead_percent" in snapshot
-        assert code in (0, 1)  # tiny workload may miss the 5% budget
+        assert code == (0 if snapshot["ok"] else 1)
 
     def test_verbose_installs_console_sink(self, capsys):
         # --resume with a pre-existing journal narrates at info level.

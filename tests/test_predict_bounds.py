@@ -2,7 +2,7 @@
 
 The per-cell bound formula (holdout bias + 4 SEM + floor), the phase
 test the validity region is cut on, and the fresh-seed audit that the
-``bench --predict`` / CI acceptance gates key on.
+``bench predict`` / CI acceptance gates key on.
 """
 
 import math
