@@ -26,7 +26,7 @@ with ``spread`` the sample standard deviation of the holdout seeds
 out).  The floor keeps single-digit-seed tables from reporting bounds
 tighter than their evidence; 4 standard errors keeps a *fresh* seed
 set inside the bound with comfortable margin — which is exactly what
-:func:`verify_table` measures, and what ``bench --predict`` and the
+:func:`verify_table` measures, and what ``bench predict`` and the
 CI smoke assert.
 """
 
@@ -119,7 +119,7 @@ def verify_table(
     grid point, and asserts the surrogate's answer falls within its
     own reported bound of the fresh mean.  Returns the audit:
     per-cell rows plus ``all_in_bound`` — the acceptance gate
-    ``bench --predict`` and the CI smoke both key on.
+    ``bench predict`` and the CI smoke both key on.
     """
     from .tables import spec_from_table
 

@@ -13,7 +13,7 @@ SIGTERM (or SIGINT) the server *drains* rather than dies:
 
 :class:`BackgroundServer` runs the same server on a daemon thread
 with its own event loop — the harness the loopback tests and the
-``bench --serve`` target drive real sockets through without
+``bench serve`` workload drive real sockets through without
 subprocesses.
 """
 
