@@ -10,8 +10,7 @@ Usage::
     repro-sync fig10 --resume          # journal + resume interrupted runs
     repro-sync fig10 --engine batch    # batched ensemble engine (same numbers)
     repro-sync bench                   # fig10 + obs rows -> BENCH_parallel.json
-    repro-sync bench serve             # one workload: parallel (default), batch,
-                                       #   serve, campaign, predict -> BENCH_<name>.json
+    repro-sync bench serve             # one workload -> BENCH_serve.json
     repro-sync serve --port 8793       # run the simulation-serving API
     repro-sync loadgen --clients 8     # seeded load against a running server
     repro-sync cache verify            # audit results/cache/ entries
@@ -35,22 +34,17 @@ Usage::
     repro-sync obs export-trace results/trace.jsonl  # -> Perfetto JSON
     repro-sync fig10 --profile         # merged cProfile top-N
 
-(``python -m repro`` is equivalent.)  Simulation-backed figures cache
-completed runs under ``results/cache/`` keyed by job content, so
-re-running a figure is nearly free; ``--no-cache`` opts out and
-``--jobs`` sets the process-pool width (results are identical either
-way).  ``--resume`` additionally journals every completed simulation
-to ``results/checkpoints/<run-id>.jsonl`` as it finishes, so a run
-killed mid-way (Ctrl-C, OOM, power loss) restarts from where it
-stopped — pass it from the start on long runs.
-
-Observability (``repro.obs``) is strictly inert — every figure and
-table is byte-identical with it on or off.  ``--trace PATH`` records
-spans/events/metrics to a JSONL log (the ``obs`` target reads it);
-``--metrics`` prints the metric snapshot to stderr after the run;
-``--profile`` merges cProfile across every worker process;
-``--verbose``/``--quiet`` raise/lower which structured events reach
-the terminal.
+(``python -m repro`` is equivalent.)  ``repro-sync COMMAND --help``
+lists the flags a command takes; any other flag is a usage error
+(exit 2).  Simulation-backed figures cache completed runs under
+``results/cache/`` (or ``--cache-root``) keyed by job content, so
+re-running a figure is nearly free; results are identical with or
+without the cache, at any ``--jobs`` width, and under ``--resume``,
+which journals every completed simulation so a run killed mid-way
+restarts from where it stopped.  Observability (``repro.obs``:
+``--trace``, ``--metrics``, ``--profile``, ``--verbose``/``--quiet``)
+is strictly inert: every figure and table is byte-identical with it
+on or off.
 """
 
 from __future__ import annotations
@@ -59,7 +53,8 @@ import argparse
 import sys
 from typing import Sequence
 
-from .registry import figure_ids, run_figure
+from ..core.engines import resolve_engine
+from .registry import TOPOLOGY_FIGURES, figure_ids, run_figure
 
 __all__ = ["main", "build_parser"]
 
@@ -86,380 +81,493 @@ def _render_plots(result) -> str:
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Build the argument parser (exposed for testing)."""
+def _positive_int(text: str) -> int:
+    """An argparse ``type``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _engine(name: str) -> str:
+    """An argparse ``type``: a known engine name, with the shared error."""
+    try:
+        return resolve_engine(name)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _point(text: str) -> tuple[int, float, float, float]:
+    """An argparse ``type``: a predict query point ``N,TP,TC,TR``."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(f"must be N,TP,TC,TR; got {text!r}")
+    return int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])
+
+
+def _console(line: str) -> None:
+    """Progress lines go to stderr, so stdout stays the command's output."""
+    print(line, file=sys.stderr, flush=True)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Build the argument parser (exposed for testing).
+
+    There is one subparser per command, and each declares only the
+    flags its handler reads, so a flag given to the wrong command is a
+    usage error.  A flag that several commands share is declared once,
+    in one of the functions below.  Given a command name, only that
+    command's subparser is built, which is all :func:`main` needs:
+    every subparser costs about 10 ms to build, one about 0.5 ms.
+    """
+
+    def jobs(sub):
+        sub.add_argument(
+            "--jobs",
+            type=_positive_int,
+            metavar="N",
+            help=(
+                "worker processes for simulation fan-out (default: 1; the "
+                "CPU count for 'bench'); results do not depend on this"
+            ),
+        )
+
+    def engine(sub):
+        sub.add_argument(
+            "--engine",
+            type=_engine,
+            metavar="NAME",
+            help=(
+                "simulation engine: des, cascade (default), or batch; every "
+                "engine produces bit-identical results for the same seed"
+            ),
+        )
+
+    def cache_root(sub):
+        sub.add_argument(
+            "--cache-root",
+            metavar="DIR",
+            help="result cache directory (default results/cache)",
+        )
+
+    def store(sub):
+        sub.add_argument(
+            "--no-cache",
+            action="store_true",
+            help="do not read or write the on-disk result cache",
+        )
+        sub.add_argument(
+            "--resume",
+            action="store_true",
+            help=(
+                "journal completed simulations under results/checkpoints/ "
+                "and resume any interrupted run of the same work; pass it "
+                "from the start on long runs (results do not depend on this)"
+            ),
+        )
+
+    def observe(sub):
+        sub.add_argument(
+            "--trace",
+            metavar="PATH",
+            help=(
+                "record spans/events/metrics and write a JSONL trace log to "
+                "PATH after the run (read it back with 'obs'); results do "
+                "not depend on this"
+            ),
+        )
+        sub.add_argument(
+            "--metrics",
+            action="store_true",
+            help="collect metrics and print the snapshot to stderr after the run",
+        )
+        sub.add_argument(
+            "--profile",
+            action="store_true",
+            help=(
+                "profile the run under cProfile (merged across worker "
+                "processes) and print the top functions to stderr"
+            ),
+        )
+        loudness = sub.add_mutually_exclusive_group()
+        loudness.add_argument(
+            "--verbose",
+            action="store_true",
+            help="print info-level structured events (resumes, retries)",
+        )
+        loudness.add_argument(
+            "--quiet",
+            action="store_true",
+            help="silence warning-level events (errors still print)",
+        )
+
+    def plot(sub):
+        sub.add_argument(
+            "--plot",
+            action="store_true",
+            help="render each series as an ASCII plot instead of a table",
+        )
+
+    def output(sub):
+        sub.add_argument(
+            "-o",
+            "--output",
+            metavar="PATH",
+            help=(
+                "output file (campaign report: the JSON report; obs "
+                "export-trace: the Chrome/Perfetto JSON, default the trace "
+                "path with a .chrome.json suffix)"
+            ),
+        )
+
+    def address(sub):
+        sub.add_argument(
+            "--host",
+            default="127.0.0.1",
+            help="listen/connect address (default 127.0.0.1)",
+        )
+        sub.add_argument(
+            "--port",
+            type=int,
+            default=8793,
+            help="listen/connect port; 0 asks the OS for a free port (default 8793)",
+        )
+
+    def server(sub):
+        sub.add_argument(
+            "--queue-depth",
+            type=int,
+            default=64,
+            metavar="N",
+            help=(
+                "admission limit — requests beyond N in flight shed with "
+                "429 Retry-After (default 64)"
+            ),
+        )
+        sub.add_argument(
+            "--deadline",
+            type=float,
+            metavar="SECONDS",
+            help=(
+                "per-request deadline; computations that outlive it answer "
+                "504 (default: none)"
+            ),
+        )
+        sub.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            metavar="N",
+            help=(
+                "worker processes; >= 2 runs the prefork supervisor (bind "
+                "once, crash-respawn, cross-process single-flight; default 1)"
+            ),
+        )
+
+    def figure(sub):
+        sub.add_argument(
+            "--fast",
+            action="store_true",
+            help="use reduced-scale parameters (seconds instead of minutes)",
+        )
+        sub.add_argument(
+            "--max-points",
+            type=int,
+            default=25,
+            help="series points to print per figure (default 25)",
+        )
+        sub.set_defaults(topology=None)
+
+    def topology(sub):
+        sub.add_argument(
+            "--topology",
+            metavar="SPEC",
+            help=(
+                "coupling graph: clique (default), ring, star, tree(b=B), "
+                "erdos_renyi(p=P,seed=S), or switching(a|b,period=T); "
+                "non-clique couplings are an off-paper what-if"
+            ),
+        )
+
+    def workload(sub):
+        from ..bench import WORKLOADS
+
+        sub.add_argument(
+            "action",
+            nargs="?",
+            default="parallel",
+            choices=tuple(WORKLOADS),
+            help="the workload (default parallel)",
+        )
+
+    def cache_action(sub):
+        sub.add_argument(
+            "action",
+            nargs="?",
+            default="verify",
+            choices=("verify", "repair", "clear"),
+            help="default verify",
+        )
+
+    def claims_action(sub):
+        sub.add_argument(
+            "action",
+            nargs="?",
+            default="list",
+            choices=("list", "gc"),
+            help="default list",
+        )
+        sub.add_argument(
+            "--max-age",
+            type=float,
+            metavar="SECONDS",
+            help=(
+                "gc: prune claim files/tombstones older than this (default: "
+                "the claim TTL)"
+            ),
+        )
+
+    def campaign_action(sub):
+        sub.add_argument("action", choices=("run", "status", "report", "shard"))
+        sub.add_argument(
+            "path", metavar="SPEC", help="the campaign spec file (.toml or .json)"
+        )
+        sub.add_argument(
+            "--shard",
+            default="0/1",
+            metavar="K/M",
+            help=(
+                "run/inspect shard K of M (0-based; default 0/1, the whole "
+                "campaign); the shard map is a pure function of the spec, so "
+                "any host can claim any shard"
+            ),
+        )
+        sub.add_argument(
+            "--dispatch",
+            choices=("local", "serve"),
+            default="local",
+            help=(
+                "run: execute on the local process pool (default) or fan out "
+                "to serve endpoints (see --endpoints)"
+            ),
+        )
+        sub.add_argument(
+            "--endpoints",
+            default="127.0.0.1:8793",
+            metavar="HOST:PORT[,HOST:PORT...]",
+            help=(
+                "run --dispatch serve: the serve endpoints to fan out to "
+                "(default 127.0.0.1:8793)"
+            ),
+        )
+        sub.add_argument(
+            "--chunk-size",
+            type=_positive_int,
+            metavar="N",
+            help=(
+                "run: jobs per commit chunk — the most compute a kill can "
+                "lose (default 256)"
+            ),
+        )
+
+    def predict_action(sub):
+        sub.add_argument("action", choices=("build", "eval", "verify"))
+        sub.add_argument(
+            "path",
+            metavar="SPEC|TABLE",
+            help=(
+                "the campaign spec file (build) or a table path / 16-hex "
+                "table id (eval, verify)"
+            ),
+        )
+        sub.add_argument(
+            "--holdout",
+            type=int,
+            metavar="N",
+            help=(
+                "build: seeds per grid point held out of calibration to "
+                "measure each cell's bound (default: a quarter of the "
+                "spec's seeds, at least 1)"
+            ),
+        )
+        sub.add_argument(
+            "--point",
+            type=_point,
+            metavar="N,TP,TC,TR",
+            help="eval: the query point, comma-separated",
+        )
+        sub.add_argument(
+            "--tolerance",
+            type=float,
+            metavar="X",
+            help=(
+                "eval: maximum acceptable relative error bound; an answer "
+                "whose bound exceeds it reports fallback"
+            ),
+        )
+        sub.add_argument(
+            "--fresh-seeds",
+            type=int,
+            default=4,
+            metavar="N",
+            help=(
+                "verify: fresh seeds per valid cell to audit the bounds "
+                "against (default 4)"
+            ),
+        )
+
+    def obs_action(sub):
+        sub.add_argument(
+            "action",
+            nargs="?",
+            default="summary",
+            choices=("summary", "export-trace", "top"),
+            help="default summary",
+        )
+        sub.add_argument(
+            "path",
+            nargs="?",
+            default="results/trace.jsonl",
+            metavar="TRACE",
+            help="the JSONL trace log (default results/trace.jsonl)",
+        )
+
+    def prediction(sub):
+        sub.add_argument(
+            "--predict-table",
+            metavar="TABLE",
+            help=(
+                "load a prediction table (file path or 16-hex id under the "
+                "cache root) and answer POST /v1/predict from it; without "
+                "this every predict request falls back to simulation"
+            ),
+        )
+
+    def load(sub):
+        sub.add_argument(
+            "--clients",
+            type=int,
+            default=4,
+            metavar="N",
+            help="concurrent periodic clients (default 4)",
+        )
+        sub.add_argument(
+            "--period",
+            type=float,
+            default=1.0,
+            metavar="TP",
+            help="mean request period per client in seconds (default 1)",
+        )
+        sub.add_argument(
+            "--load-jitter",
+            type=float,
+            default=0.5,
+            metavar="TR",
+            help=(
+                "timer jitter half-width — intervals are uniform in "
+                "[TP-TR, TP+TR], the paper's own randomization (default 0.5)"
+            ),
+        )
+        sub.add_argument(
+            "--duration",
+            type=float,
+            default=10.0,
+            metavar="SECONDS",
+            help="length of the generated schedule (default 10)",
+        )
+        sub.add_argument(
+            "--seed",
+            type=int,
+            default=1,
+            help="seed for the schedule and spec rotation (default 1)",
+        )
+        sub.add_argument(
+            "--real-time",
+            action="store_true",
+            help=(
+                "actually sleep between ticks (threads + wall clock) instead "
+                "of replaying the schedule as fast as possible"
+            ),
+        )
+        sub.add_argument(
+            "--retries",
+            type=int,
+            default=0,
+            metavar="N",
+            help=(
+                "honor 429/503 Retry-After hints with up to N deterministic "
+                "retries per request (default 0: surface backpressure)"
+            ),
+        )
+        sub.add_argument(
+            "--chaos",
+            action="store_true",
+            help=(
+                "self-host a prefork fleet (--workers >= 2; cache "
+                "results/chaos_cache unless --cache-root), kill and respawn "
+                "workers mid-load, inject claim-orphan/crash faults, and "
+                "audit the exactly-once claim ledger"
+            ),
+        )
+
+    figures = [figure, plot, jobs, engine, store, cache_root, observe]
+    table = {
+        figure_id: (
+            _run_figures,
+            figures + ([topology] if figure_id in TOPOLOGY_FIGURES else []),
+        )
+        for figure_id in figure_ids()
+    }
+    table.update(
+        all=(_run_figures, figures),
+        list=(_run_list, []),
+        bench=(_run_bench, [workload, jobs]),
+        cache=(_run_cache, [cache_action, cache_root]),
+        claims=(_run_claims, [claims_action, cache_root]),
+        campaign=(
+            _run_campaign,
+            [campaign_action, jobs, cache_root, plot, output, observe],
+        ),
+        predict=(_run_predict, [predict_action, jobs, cache_root, observe]),
+        obs=(_run_obs, [obs_action, output]),
+        serve=(
+            _run_serve,
+            [prediction, address, server, jobs, engine, store, cache_root, observe],
+        ),
+        loadgen=(
+            _run_loadgen,
+            [load, address, server, jobs, engine, cache_root, observe],
+        ),
+    )
     parser = argparse.ArgumentParser(
         prog="repro-sync",
         description=(
             "Reproduce figures from Floyd & Jacobson, 'The Synchronization "
-            "of Periodic Routing Messages' (SIGCOMM 1993)."
+            "of Periodic Routing Messages' (SIGCOMM 1993).  Each figure id "
+            "runs that figure and 'all' runs every one; 'repro-sync COMMAND "
+            "--help' lists the flags a command takes."
         ),
+        allow_abbrev=False,
     )
-    parser.add_argument(
-        "target",
-        help=(
-            "a figure id (fig01..fig18), 'all', 'list', 'bench', 'cache', "
-            "'claims', 'campaign', 'predict', 'obs', 'serve', or 'loadgen'"
-        ),
+    commands = parser.add_subparsers(
+        dest="target", metavar="COMMAND", required=True, help=", ".join(table)
     )
-    parser.add_argument(
-        "action",
-        nargs="?",
-        default=None,
-        help=(
-            "for 'cache': verify (default) | repair | clear; "
-            "for 'claims': list (default) | gc; "
-            "for 'campaign': run (default) | status | report | shard; "
-            "for 'predict': build (default) | eval | verify; "
-            "for 'obs': summary (default) | export-trace | top; "
-            "for 'bench': parallel (default) | batch | serve | campaign | predict"
-        ),
-    )
-    parser.add_argument(
-        "path",
-        nargs="?",
-        default=None,
-        help=(
-            "for the 'obs' target: the JSONL trace log to read "
-            "(default results/trace.jsonl); for 'campaign': the "
-            "campaign spec file (.toml or .json); for 'predict': the "
-            "spec file (build) or a table path / 16-hex table id "
-            "(eval, verify)"
-        ),
-    )
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="use reduced-scale parameters (seconds instead of minutes)",
-    )
-    parser.add_argument(
-        "--max-points",
-        type=int,
-        default=25,
-        help="series points to print per figure (default 25)",
-    )
-    parser.add_argument(
-        "--plot",
-        action="store_true",
-        help="render each series as an ASCII plot instead of a table",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for simulation fan-out (default: 1 for "
-            "figures, the CPU count for 'bench'); results do not "
-            "depend on this"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        default=None,
-        metavar="NAME",
-        help=(
-            "simulation engine for figures, sweeps, and serving: des, "
-            "cascade (default), or batch; every engine produces "
-            "bit-identical results for the same seed"
-        ),
-    )
-    parser.add_argument(
-        "--topology",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "coupling graph for figures that accept one (fig10/fig11): "
-            "clique (default), ring, star, tree(b=B), "
-            "erdos_renyi(p=P,seed=S), or switching(a|b,period=T); "
-            "non-clique couplings are an off-paper what-if"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="do not read or write the on-disk result cache (results/cache/)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "journal completed simulations under results/checkpoints/ and "
-            "resume any interrupted run of the same figure; pass it from "
-            "the start on long runs (results do not depend on this)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-root",
-        default=None,
-        metavar="DIR",
-        help="cache directory for the 'cache' target (default results/cache)",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help=(
-            "record spans/events/metrics and write a JSONL trace log to "
-            "PATH after the run (read it back with the 'obs' target); "
-            "results do not depend on this"
-        ),
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect metrics and print the snapshot to stderr after the run",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "profile the run under cProfile (merged across worker "
-            "processes) and print the top functions to stderr"
-        ),
-    )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print info-level structured events (resumes, retries) as they happen",
-    )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="silence warning-level events (errors still print)",
-    )
-    predict = parser.add_argument_group(
-        "prediction options (the 'predict' target)"
-    )
-    predict.add_argument(
-        "--holdout",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "predict build: seeds per grid point held out of "
-            "calibration to measure each cell's bound (default: a "
-            "quarter of the spec's seeds, at least 1)"
-        ),
-    )
-    predict.add_argument(
-        "--point",
-        default=None,
-        metavar="N,TP,TC,TR",
-        help="predict eval: the query point, comma-separated",
-    )
-    predict.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "predict eval: maximum acceptable relative error bound; "
-            "an answer whose bound exceeds it reports fallback"
-        ),
-    )
-    predict.add_argument(
-        "--fresh-seeds",
-        type=int,
-        default=4,
-        metavar="N",
-        help=(
-            "predict verify: fresh seeds per valid cell to audit the "
-            "bounds against (default 4)"
-        ),
-    )
-    campaign = parser.add_argument_group(
-        "campaign options (the 'campaign' target)"
-    )
-    campaign.add_argument(
-        "--shard",
-        default=None,
-        metavar="K/M",
-        help=(
-            "campaign: run/inspect shard K of M (0-based; default 0/1, "
-            "the whole campaign); the shard map is a pure function of "
-            "the spec, so any host can claim any shard"
-        ),
-    )
-    campaign.add_argument(
-        "--dispatch",
-        choices=("local", "serve"),
-        default="local",
-        help=(
-            "campaign run: execute on the local process pool (default) "
-            "or fan out to serve endpoints (see --endpoints)"
-        ),
-    )
-    campaign.add_argument(
-        "--endpoints",
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help=(
-            "campaign run --dispatch serve: the serve endpoints to fan "
-            "out to (default 127.0.0.1:8793)"
-        ),
-    )
-    campaign.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "campaign run: jobs per commit chunk — the most compute a "
-            "kill can lose (default 256)"
-        ),
-    )
-    campaign.add_argument(
-        "--max-age",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "claims gc: prune claim files/tombstones older than this "
-            "(default: the claim TTL)"
-        ),
-    )
-    serving = parser.add_argument_group(
-        "serving options (the 'serve' and 'loadgen' targets)"
-    )
-    serving.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="listen/connect address (default 127.0.0.1)",
-    )
-    serving.add_argument(
-        "--port",
-        type=int,
-        default=8793,
-        help="listen/connect port; 0 asks the OS for a free port (default 8793)",
-    )
-    serving.add_argument(
-        "--queue-depth",
-        type=int,
-        default=64,
-        metavar="N",
-        help=(
-            "serve: admission limit — requests beyond N in flight shed "
-            "with 429 Retry-After (default 64)"
-        ),
-    )
-    serving.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "serve: per-request deadline; computations that outlive it "
-            "answer 504 (default: none)"
-        ),
-    )
-    serving.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "serve: worker processes; >= 2 runs the prefork supervisor "
-            "(bind once, crash-respawn, cross-process single-flight; "
-            "default 1)"
-        ),
-    )
-    serving.add_argument(
-        "--predict-table",
-        default=None,
-        metavar="TABLE",
-        help=(
-            "serve: load a prediction table (file path or 16-hex id "
-            "under the cache root) and answer POST /v1/predict from "
-            "it; without this every predict request falls back to "
-            "simulation"
-        ),
-    )
-    serving.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        metavar="N",
-        help="loadgen: concurrent periodic clients (default 4)",
-    )
-    serving.add_argument(
-        "--period",
-        type=float,
-        default=1.0,
-        metavar="TP",
-        help="loadgen: mean request period per client in seconds (default 1)",
-    )
-    serving.add_argument(
-        "--load-jitter",
-        type=float,
-        default=0.5,
-        metavar="TR",
-        help=(
-            "loadgen: timer jitter half-width — intervals are uniform in "
-            "[TP-TR, TP+TR], the paper's own randomization (default 0.5)"
-        ),
-    )
-    serving.add_argument(
-        "--duration",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="loadgen: length of the generated schedule (default 10)",
-    )
-    serving.add_argument(
-        "--seed",
-        type=int,
-        default=1,
-        help="loadgen: seed for the schedule and spec rotation (default 1)",
-    )
-    serving.add_argument(
-        "--real-time",
-        action="store_true",
-        help=(
-            "loadgen: actually sleep between ticks (threads + wall "
-            "clock) instead of replaying the schedule as fast as possible"
-        ),
-    )
-    serving.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "loadgen: honor 429/503 Retry-After hints with up to N "
-            "deterministic retries per request (default 0: surface "
-            "backpressure)"
-        ),
-    )
-    serving.add_argument(
-        "--chaos",
-        action="store_true",
-        help=(
-            "loadgen: self-host a prefork fleet (--workers >= 2), kill and "
-            "respawn workers mid-load, inject claim-orphan/crash faults, "
-            "and audit the exactly-once claim ledger"
-        ),
-    )
-    parser.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="PATH",
-        help=(
-            "for 'obs export-trace': the Chrome/Perfetto JSON destination "
-            "(default: the trace path with a .chrome.json suffix)"
-        ),
-    )
+    for name, (handler, declarations) in table.items():
+        if command in table and name != command:
+            continue
+        sub = commands.add_parser(name, allow_abbrev=False)
+        for declare in declarations:
+            declare(sub)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def _run_cache(args) -> int:
-    """The 'cache' target: verify / repair / clear the result cache."""
+    """The 'cache' command: verify / repair / clear the result cache."""
     from ..parallel import ResultCache
 
     cache = ResultCache(args.cache_root)
-    action = args.action or "verify"
-    if action == "verify":
+    if args.action == "verify":
         report = cache.verify()
         print(
             f"cache {cache.root}: {report['entries']} entries, "
@@ -483,7 +591,7 @@ def _run_cache(args) -> int:
             print("run 'cache repair' to quarantine/sweep")
             return 1
         return 0
-    if action == "repair":
+    if args.action == "repair":
         done = cache.repair()
         print(
             f"cache {cache.root}: quarantined {len(done['quarantined'])} "
@@ -491,27 +599,20 @@ def _run_cache(args) -> int:
             f"removed {len(done['removed_tmp'])} stale tmp file(s)"
         )
         return 0
-    if action == "clear":
-        removed = cache.clear()
-        print(f"cache {cache.root}: removed {removed} entries")
-        return 0
-    print(
-        f"error: unknown cache action {action!r} (use verify, repair, or clear)",
-        file=sys.stderr,
-    )
-    return 2
+    removed = cache.clear()
+    print(f"cache {cache.root}: removed {removed} entries")
+    return 0
 
 
 def _run_claims(args) -> int:
-    """The 'claims' target: inventory / gc single-flight claim files."""
+    """The 'claims' command: inventory / gc single-flight claim files."""
     from pathlib import Path
 
     from ..parallel import ClaimRegistry
 
     root = Path(args.cache_root or "results/cache") / "claims"
     registry = ClaimRegistry(root)
-    action = args.action or "list"
-    if action == "list":
+    if args.action == "list":
         inv = registry.inventory()
         print(
             f"claims {registry.root}: {len(inv['claims'])} record(s), "
@@ -527,24 +628,19 @@ def _run_claims(args) -> int:
                 f"pid={record['pid']} heartbeat_age={age_text}"
             )
         return 0
-    if action == "gc":
-        done = registry.gc(max_age=args.max_age)
-        print(
-            f"claims {registry.root}: removed {len(done['removed_claims'])} "
-            f"stale claim(s), {len(done['removed_tombstones'])} "
-            f"tombstone(s), {len(done['removed_beats'])} beat temp(s)"
-        )
-        return 0
+    done = registry.gc(max_age=args.max_age)
     print(
-        f"error: unknown claims action {action!r} (use list or gc)",
-        file=sys.stderr,
+        f"claims {registry.root}: removed {len(done['removed_claims'])} "
+        f"stale claim(s), {len(done['removed_tombstones'])} "
+        f"tombstone(s), {len(done['removed_beats'])} beat temp(s)"
     )
-    return 2
+    return 0
 
 
 def _run_campaign(args) -> int:
-    """The 'campaign' target: run / status / report / shard a study."""
+    """The 'campaign' command: run / status / report / shard a study."""
     from ..campaign import (
+        DEFAULT_CHUNK_SIZE,
         LocalDispatcher,
         ServeDispatcher,
         build_report,
@@ -560,34 +656,19 @@ def _run_campaign(args) -> int:
     )
     from ..parallel import ResultCache
 
-    action = args.action or "run"
-    if action not in ("run", "status", "report", "shard"):
-        print(
-            f"error: unknown campaign action {action!r} "
-            "(use run, status, report, or shard)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.path is None:
-        print(
-            "error: the campaign target needs a spec file path "
-            "(e.g. campaign run study.toml)",
-            file=sys.stderr,
-        )
-        return 2
     try:
         spec = load_spec(args.path)
     except (OSError, ValueError) as error:
         print(f"error: cannot load campaign spec {args.path}: {error}", file=sys.stderr)
         return 2
     try:
-        shard, num_shards = parse_shard(args.shard or "0/1")
+        shard, num_shards = parse_shard(args.shard)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     cache = ResultCache(args.cache_root)
 
-    if action == "shard":
+    if args.action == "shard":
         counts = shard_manifest(spec, num_shards)
         print(
             f"campaign {spec.campaign_id()} name={spec.name} "
@@ -598,12 +679,12 @@ def _run_campaign(args) -> int:
             print(f"  shard {k}/{num_shards}: {count} job(s){marker}")
         return 0
 
-    if action == "status":
+    if args.action == "status":
         status = campaign_status(spec, num_shards=num_shards, cache=cache)
         print(format_status(status))
         return 0 if status["complete"] else 1
 
-    if action == "report":
+    if args.action == "report":
         report = build_report(spec, cache)
         if args.output:
             target = write_report(report, args.output)
@@ -624,10 +705,10 @@ def _run_campaign(args) -> int:
             return 1
         return 0
 
-    # action == "run"
+    # "run"
     if args.dispatch == "serve":
         try:
-            endpoints = parse_endpoints(args.endpoints or "127.0.0.1:8793")
+            endpoints = parse_endpoints(args.endpoints)
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -635,12 +716,6 @@ def _run_campaign(args) -> int:
     else:
         dispatcher = LocalDispatcher(jobs=args.jobs or 1)
 
-    def console(line: str) -> None:
-        print(line, file=sys.stderr, flush=True)
-
-    kwargs = {}
-    if args.chunk_size is not None:
-        kwargs["chunk_size"] = args.chunk_size
     try:
         summary = run_campaign(
             spec,
@@ -648,8 +723,8 @@ def _run_campaign(args) -> int:
             num_shards=num_shards,
             dispatcher=dispatcher,
             cache=cache,
-            console=console,
-            **kwargs,
+            console=_console,
+            chunk_size=args.chunk_size or DEFAULT_CHUNK_SIZE,
         )
     except (OSError, RuntimeError, ValueError) as error:
         print(f"error: campaign run failed: {error}", file=sys.stderr)
@@ -659,7 +734,7 @@ def _run_campaign(args) -> int:
 
 
 def _run_serve(args) -> int:
-    """The 'serve' target: run the simulation-serving API until SIGTERM."""
+    """The 'serve' command: run the simulation-serving API until SIGTERM."""
     from ..serve import ServeConfig, serve_forever
 
     config = ServeConfig(
@@ -682,7 +757,7 @@ def _run_serve(args) -> int:
 
 
 def _run_loadgen(args) -> int:
-    """The 'loadgen' target: seeded load against a running server.
+    """The 'loadgen' command: seeded load against a running server.
 
     ``--chaos`` self-hosts a prefork fleet instead and runs the load
     while killing/respawning workers and injecting claim-protocol
@@ -748,7 +823,7 @@ def _run_chaos_loadgen(args, plan) -> int:
 
 
 def _run_predict(args) -> int:
-    """The 'predict' target: build / eval / verify prediction tables."""
+    """The 'predict' command: build / eval / verify prediction tables."""
     import json as _json
 
     from ..campaign import load_spec
@@ -761,24 +836,9 @@ def _run_predict(args) -> int:
         verify_table,
     )
 
-    action = args.action or "build"
-    if action not in ("build", "eval", "verify"):
-        print(
-            f"error: unknown predict action {action!r} "
-            "(use build, eval, or verify)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.path is None:
-        print(
-            "error: the predict target needs a path — a campaign spec "
-            "file (build) or a table path / 16-hex id (eval, verify)",
-            file=sys.stderr,
-        )
-        return 2
     cache = ResultCache(args.cache_root)
 
-    if action == "build":
+    if args.action == "build":
         try:
             spec = load_spec(args.path)
         except (OSError, ValueError) as error:
@@ -787,13 +847,9 @@ def _run_predict(args) -> int:
                 file=sys.stderr,
             )
             return 2
-
-        def console(line: str) -> None:
-            print(line, file=sys.stderr, flush=True)
-
         try:
             table = build_table(
-                spec, cache, holdout_count=args.holdout, console=console
+                spec, cache, holdout_count=args.holdout, console=_console
             )
         except (OSError, ValueError) as error:
             print(f"error: predict build failed: {error}", file=sys.stderr)
@@ -812,27 +868,14 @@ def _run_predict(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    if action == "eval":
+    if args.action == "eval":
         if args.point is None:
             print(
                 "error: predict eval needs --point N,TP,TC,TR",
                 file=sys.stderr,
             )
             return 2
-        parts = args.point.split(",")
-        if len(parts) != 4:
-            print(
-                f"error: --point must be N,TP,TC,TR; got {args.point!r}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            n_nodes = int(parts[0])
-            tp, tc, tr = (float(part) for part in parts[1:])
-        except ValueError as error:
-            print(f"error: bad --point value: {error}", file=sys.stderr)
-            return 2
-        answer = SurrogateEvaluator(table).predict(n_nodes, tp, tc, tr)
+        answer = SurrogateEvaluator(table).predict(*args.point)
         if (
             args.tolerance is not None
             and answer["status"] == "ok"
@@ -842,7 +885,7 @@ def _run_predict(args) -> int:
         print(_json.dumps(answer, sort_keys=True, indent=1))
         return 0 if answer["status"] == "ok" else 1
 
-    # action == "verify"
+    # "verify"
     audit = verify_table(
         table, cache, seed_count=args.fresh_seeds, jobs=args.jobs
     )
@@ -866,49 +909,33 @@ def _run_predict(args) -> int:
 
 
 def _run_bench(args) -> int:
-    """The 'bench' target: run one declared workload, write its snapshot."""
+    """The 'bench' command: run one declared workload, write its snapshot."""
     from ..bench import WORKLOADS, format_table, run_benchmark
 
-    name = args.action or "parallel"
-    if name not in WORKLOADS:
-        print(
-            f"error: unknown bench workload {name!r} (use {', '.join(WORKLOADS)})",
-            file=sys.stderr,
-        )
-        return 2
-    output = WORKLOADS[name].output
-    snapshot = run_benchmark(name, jobs=args.jobs, output=output)
+    output = WORKLOADS[args.action].output
+    snapshot = run_benchmark(args.action, jobs=args.jobs, output=output)
     print(format_table(snapshot))
     print(f"snapshot written to {output}")
     return 0 if snapshot["ok"] else 1
 
 
 def _run_obs(args) -> int:
-    """The 'obs' target: read a JSONL trace log back."""
+    """The 'obs' command: read a JSONL trace log back."""
     from ..obs.export import read_trace, summarize_trace, write_chrome_trace
 
-    action = args.action or "summary"
-    path = args.path or "results/trace.jsonl"
-    if action not in ("summary", "export-trace", "top"):
-        print(
-            f"error: unknown obs action {action!r} "
-            "(use summary, export-trace, or top)",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        if action == "export-trace":
-            dest = write_chrome_trace(path, args.output)
+        if args.action == "export-trace":
+            dest = write_chrome_trace(args.path, args.output)
             print(
                 f"chrome trace written to {dest} "
                 "(open in chrome://tracing or https://ui.perfetto.dev)"
             )
             return 0
-        records = read_trace(path)
+        records = read_trace(args.path)
     except OSError as error:
-        print(f"error: cannot read trace {path}: {error}", file=sys.stderr)
+        print(f"error: cannot read trace {args.path}: {error}", file=sys.stderr)
         return 2
-    if action == "summary":
+    if args.action == "summary":
         print(summarize_trace(records))
         return 0
     from ..obs.profile import format_top
@@ -976,33 +1003,20 @@ def _finalize_obs(args) -> None:
         reset()
 
 
-def _dispatch(args) -> int:
-    """Route one parsed invocation to its target handler."""
-    if args.target == "cache":
-        return _run_cache(args)
-    if args.target == "claims":
-        return _run_claims(args)
-    if args.target == "campaign":
-        return _run_campaign(args)
-    if args.target == "predict":
-        return _run_predict(args)
-    if args.target == "obs":
-        return _run_obs(args)
-    if args.target == "list":
-        for figure_id in figure_ids():
-            print(figure_id)
-        return 0
-    if args.target == "bench":
-        return _run_bench(args)
-    if args.target == "serve":
-        return _run_serve(args)
-    if args.target == "loadgen":
-        return _run_loadgen(args)
+def _run_list(args) -> int:
+    """The 'list' command: print every figure id."""
+    for figure_id in figure_ids():
+        print(figure_id)
+    return 0
+
+
+def _run_figures(args) -> int:
+    """A figure id, or 'all': run the reproduction(s) and print them."""
     cache = None
     if not args.no_cache:
         from ..parallel import ResultCache
 
-        cache = ResultCache()
+        cache = ResultCache(args.cache_root)
     checkpoint = True if args.resume else None
     targets = figure_ids() if args.target == "all" else [args.target]
     try:
@@ -1028,51 +1042,15 @@ def _dispatch(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.quiet and args.verbose:
-        print("error: --quiet and --verbose are mutually exclusive", file=sys.stderr)
-        return 2
-    if args.engine is not None:
-        from ..core.engines import resolve_engine
-
-        try:
-            resolve_engine(args.engine)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.topology is not None:
-        from ..topo import parse_topology
-
-        try:
-            parse_topology(args.topology)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.action is not None and args.target not in (
-        "cache", "claims", "campaign", "predict", "obs", "bench"
-    ):
-        print(
-            "error: an action argument is only valid with the "
-            "'cache', 'claims', 'campaign', 'predict', or 'obs' targets, "
-            "or as the workload name of 'bench'",
-            file=sys.stderr,
-        )
-        return 2
-    if args.path is not None and args.target not in (
-        "obs", "campaign", "predict"
-    ):
-        print(
-            "error: a path argument is only valid with the 'obs', "
-            "'campaign', or 'predict' targets",
-            file=sys.stderr,
-        )
-        return 2
-    if not _configure_obs(args):
-        return _dispatch(args)
+    """Entry point; returns a process exit code (2 for a usage error)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+    except SystemExit as stop:  # usage errors exit 2, --help exits 0
+        return stop.code
+    # Commands without the obs flags, or runs that set none of them.
+    if "trace" not in args or not _configure_obs(args):
+        return args.handler(args)
     try:
         if args.profile:
             from ..obs import obs
@@ -1081,8 +1059,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             # Profile the in-process side too (jobs=1 runs, cache and
             # aggregation work); pool workers ship their own rows.
             with profiled(obs().profile_rows):
-                return _dispatch(args)
-        return _dispatch(args)
+                return args.handler(args)
+        return args.handler(args)
     finally:
         _finalize_obs(args)
 

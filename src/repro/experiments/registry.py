@@ -133,7 +133,7 @@ def run_figure(
     jobs:
         Worker processes for drivers in :data:`PARALLEL_FIGURES`
         (silently ignored elsewhere — the CLI passes it for every
-        target).
+        figure).
     cache:
         Optional :class:`~repro.parallel.ResultCache`, same scoping.
     checkpoint:

@@ -38,7 +38,7 @@ def write_spec(tmp_path, **overrides):
 class TestCampaignUsage:
     def test_needs_a_spec_path(self, capsys):
         assert main(["campaign", "run"]) == 2
-        assert "spec file path" in capsys.readouterr().err
+        assert "arguments are required: SPEC" in capsys.readouterr().err
 
     def test_unknown_action(self, capsys, tmp_path):
         path = write_spec(tmp_path)

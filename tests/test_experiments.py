@@ -1,11 +1,19 @@
 """Tests for the experiments package: results, registry, CLI."""
 
+import ast
 import json
+import re
+import shlex
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import FigureResult, figure_ids, run_figure
 from repro.experiments.cli import build_parser, main
+from repro.experiments.registry import TOPOLOGY_FIGURES
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestFigureResult:
@@ -226,9 +234,8 @@ class TestServingCli:
         "flag", ["--obs", "--serve", "--batch", "--campaign", "--predict"]
     )
     def test_bench_workload_flags_are_gone(self, flag, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["bench", flag])
-        assert exit_info.value.code == 2
+        assert main(["bench", flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_loadgen_against_a_live_server(self, capsys, tmp_path):
         from repro.serve import BackgroundServer, ServeConfig
@@ -258,3 +265,164 @@ class TestServingCli:
         # A port from the dynamic range with nothing listening.
         assert main(["loadgen", "--port", "1", "--duration", "1"]) == 2
         assert "cannot reach server" in capsys.readouterr().err
+
+
+_OBS_FLAGS = {"--trace", "--metrics", "--profile", "--verbose", "--quiet"}
+_FIGURE_FLAGS = {
+    "--fast", "--max-points", "--plot", "--jobs", "--engine", "--no-cache",
+    "--resume", "--cache-root", *_OBS_FLAGS,
+}
+_SERVER_FLAGS = {
+    "--host", "--port", "--queue-depth", "--deadline", "--workers", "--jobs",
+    "--engine", "--cache-root", *_OBS_FLAGS,
+}
+#: Every command and the flags it (and only it) takes.
+COMMAND_FLAGS = {
+    **{
+        figure_id: _FIGURE_FLAGS
+        | ({"--topology"} if figure_id in TOPOLOGY_FIGURES else set())
+        for figure_id in figure_ids()
+    },
+    "all": _FIGURE_FLAGS,
+    "list": set(),
+    "bench": {"--jobs"},
+    "cache": {"--cache-root"},
+    "claims": {"--cache-root", "--max-age"},
+    "campaign": {
+        "--jobs", "--cache-root", "--plot", "-o", "--output", *_OBS_FLAGS,
+        "--shard", "--dispatch", "--endpoints", "--chunk-size",
+    },
+    "predict": {
+        "--jobs", "--cache-root", *_OBS_FLAGS,
+        "--holdout", "--point", "--tolerance", "--fresh-seeds",
+    },
+    "obs": {"-o", "--output"},
+    "serve": _SERVER_FLAGS | {"--no-cache", "--resume", "--predict-table"},
+    "loadgen": _SERVER_FLAGS | {
+        "--clients", "--period", "--load-jitter", "--duration", "--seed",
+        "--real-time", "--retries", "--chaos",
+    },
+}
+
+#: Stand-ins for the placeholders the docs write in angle brackets.
+_PLACEHOLDERS = {
+    "<fig>": "fig10",
+    "<spec>": "study.json",
+    "<id>": "0123456789abcdef",
+    "<table-id>": "0123456789abcdef",
+    "<table-path-or-id>": "0123456789abcdef",
+    "N": "2",
+}
+
+
+def _shell_invocations(text: str) -> list[list[str]]:
+    """Every ``python -m repro ...`` argv written as a shell line."""
+    found = []
+    for match in re.finditer(
+        r"python3? -m repro ([^\n`#&]*)", text.replace("\\\n", " ")
+    ):
+        line = re.split(r"\s\d*>", match[1])[0]  # drop a redirection
+        argv = [_PLACEHOLDERS.get(word, word) for word in shlex.split(line)]
+        i = next((i for i, word in enumerate(argv) if "|" in word), None)
+        if i is None:
+            found.append(argv)
+        else:  # "obs summary|export-trace|top" documents three invocations
+            found += [argv[:i] + [word] + argv[i + 1:] for word in argv[i].split("|")]
+    return found
+
+
+def _python_invocations(source: str) -> list[list[str]]:
+    """Every repro argv built in Python: ``[sys.executable, "-m", "repro",
+    ...]`` lists and calls of a ``run(*args)`` helper that prefixes them.
+    Values computed at run time stand in as ``"x"``."""
+
+    def words(nodes):
+        return [n.value if isinstance(n, ast.Constant) else "x" for n in nodes]
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.List) and words(node.elts[1:3]) == ["-m", "repro"]:
+            if not any(isinstance(n, ast.Starred) for n in node.elts):
+                found.append(words(node.elts[3:]))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "run"
+        ):
+            found.append(words(node.args))
+    return found
+
+
+def _documented_invocations() -> dict[str, list[list[str]]]:
+    ci = (REPO / ".github/workflows/ci.yml").read_text()
+    heredocs = re.findall(r"<<'SMOKE'\n(.*?)\n\s*SMOKE\n", ci, flags=re.S)
+    return {
+        "ci.yml": _shell_invocations(ci)
+        + [
+            argv
+            for body in heredocs
+            for argv in _python_invocations(textwrap.dedent(body))
+        ],
+        "README.md": _shell_invocations((REPO / "README.md").read_text()),
+        "EXPERIMENTS.md": _shell_invocations(
+            (REPO / "EXPERIMENTS.md").read_text()
+        ),
+        "serve_mixed.py": _python_invocations(
+            (REPO / "perfbench/serve_mixed.py").read_text()
+        ),
+    }
+
+
+class TestCommandParsers:
+    def test_every_command_has_a_flag_table(self, capsys):
+        assert main(["nope"]) == 2
+        choices = capsys.readouterr().err.split("choose from")[1]
+        assert set(re.findall(r"'([\w-]+)'", choices)) == set(COMMAND_FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_help_lists_only_the_commands_own_flags(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        flags = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text))
+        assert flags - {"-h", "--help"} == COMMAND_FLAGS[command]
+
+    def test_topology_only_on_the_topology_figures(self, capsys):
+        assert TOPOLOGY_FIGURES == {"fig10", "fig11"}
+        assert main(["fig04", "--help"]) == 0
+        assert "--topology" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "fig10 --port 9",
+            "fig04 --topology ring",
+            "serve --fast",
+            "cache --topology ring",
+            "campaign run s.json --chaos",
+            "fig10 --predict",
+            "serve --predict x",
+            "fig10 --fast --port 9 --workers 3 --chaos --shard 0/2",
+        ],
+    )
+    def test_misrouted_or_abbreviated_flags_are_usage_errors(self, argv, capsys):
+        # Parse only: were the flag accepted, main would run the command.
+        with pytest.raises(SystemExit) as stop:
+            build_parser(argv.split()[0]).parse_args(argv.split())
+        assert stop.value.code == 2
+        assert "usage: repro-sync" in capsys.readouterr().err
+
+    def test_documented_invocations_parse(self):
+        for source, invocations in _documented_invocations().items():
+            assert invocations, source
+            for argv in invocations:
+                try:
+                    args = build_parser(argv[0]).parse_args(argv)
+                except SystemExit:
+                    pytest.fail(f"{source}: repro {' '.join(argv)} does not parse")
+                assert callable(args.handler)
+
+    def test_figures_honour_cache_root(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig10", "--fast", "--cache-root", "mine"]) == 0
+        assert list((tmp_path / "mine").glob("*.json"))
+        assert not (tmp_path / "results").exists()
