@@ -44,7 +44,7 @@ from .campaign.report import build_report, report_json
 from .campaign.run import run_campaign
 from .campaign.spec import CampaignSpec
 from .core import BatchCascade
-from .core.batch import compiled_backend_available, default_backend
+from .core.batch import compiled_backend_available
 from .obs import configure, obs, reset
 from .obs.clock import perf_counter
 from .parallel.cache import ResultCache
@@ -372,15 +372,10 @@ def _parallel_table(snapshot: dict) -> list[str]:
 # -- batch: the batched kernel against the serial cascade -------------
 
 
-def _kernel(specs: list[SimulationJob], backend: str) -> list[JobResult]:
+def _kernel(specs: list[SimulationJob]) -> list[JobResult]:
     """One batch-kernel pass over the whole ensemble."""
     first = specs[0]
-    batch = BatchCascade(
-        first.params,
-        seeds=[spec.seed for spec in specs],
-        initial_phases="unsynchronized",
-        backend=backend,
-    )
+    batch = BatchCascade(first.params, seeds=[spec.seed for spec in specs])
     batch.run(until=first.horizon, stop_on_full_sync=True)
     return [
         JobResult(first_passages=dict(member.first_time_at_least))
@@ -391,15 +386,16 @@ def _kernel(specs: list[SimulationJob], backend: str) -> list[JobResult]:
 def _run_batch(
     jobs, scratch, horizon=FIG10_HORIZON, seeds=range(1, 101), reps=3
 ) -> dict:
-    """The Fig-10 point as a 100-member ensemble: serial cascade, each
-    batch backend that resolves, and batch jobs over the pool."""
+    """The Fig-10 point as a 100-member ensemble: serial cascade, one
+    compiled-kernel pass where the kernel resolves, and batch jobs over
+    the pool."""
     seeds = list(seeds)
     batch = _fig10_specs(horizon, seeds, "batch")
     cascade = _fig10_specs(horizon, seeds, "cascade")
     have_compiled = compiled_backend_available()
     row_runs = {"cascade_jobs1": lambda _: ParallelRunner(jobs=1).run(cascade)}
-    for backend in ["python", "compiled"] if have_compiled else ["python"]:
-        row_runs[f"batch_{backend}"] = lambda _, b=backend: _kernel(batch, b)
+    if have_compiled:
+        row_runs["batch_compiled"] = lambda _: _kernel(batch)
     row_runs["batch_jobsN"] = lambda _: _pooled(ParallelRunner(jobs=jobs), batch)
     rows, out = interleaved(row_runs, reps, scratch)
     _speedups(rows, "cascade_jobs1")
@@ -413,9 +409,6 @@ def _run_batch(
         "n_seeds": len(seeds),
         "jobs": jobs,
         "reps": reps,
-        # The backend a batch job gets when none is forced; rows name
-        # their backend explicitly.
-        "default_backend": default_backend(),
         "compiled_available": have_compiled,
         "rows": rows,
         # Recorded, not a check: the compiled kernel's speedup floor.
@@ -439,8 +432,7 @@ def _batch_table(snapshot: dict) -> list[str]:
     lines = [
         f"fig10 ensemble: {snapshot['n_seeds']} members, horizon "
         f"{snapshot['horizon_seconds']:g} s, {snapshot['host']['cpu_count']} "
-        f"CPU(s), min of {snapshot['reps']} interleaved round(s), default "
-        f"backend {snapshot['default_backend']}",
+        f"CPU(s), min of {snapshot['reps']} interleaved round(s)",
         *_rows_table(snapshot["rows"]),
         "speedup is against cascade_jobs1, the serial cascade engine",
     ]
@@ -450,7 +442,7 @@ def _batch_table(snapshot: dict) -> list[str]:
             f"{_yes(snapshot['compiled_speedup_met'])}"
         )
     else:
-        lines.append("compiled backend: not resolvable (row skipped)")
+        lines.append("compiled kernel: not resolvable (row skipped)")
     return lines
 
 

@@ -1,17 +1,18 @@
 """The compiled provider for the batch cascade kernel.
 
-:mod:`repro.core.batch`'s ``backend="compiled"`` runs the
-fully-coupled cascade rule as machine code: ``_batch_kernel.c`` (same
-directory) implements the prose spec in its header over packed flat
-arrays, with a fused cluster tracker; it is built on demand with the
-system compiler and loaded through :mod:`ctypes`.  The build forbids
-FP contraction (``-ffp-contract=off -fno-fast-math``) so no fused
-multiply-adds can perturb the float stream — the kernel must stay
-byte-identical to ``CascadeModel`` and the DES, which the differential
-matrix (``tests/test_engine_differential.py``) checks.  :func:`resolve_compiled` returns the kernel callable
-or None, cached for the process.  NumPy is required (the packed state
-lives in ndarrays); environments without it, or without a C compiler,
-use the python backend.
+:mod:`repro.core.batch` runs complete couplings through this kernel,
+the fully-coupled cascade rule as machine code: ``_batch_kernel.c``
+(same directory) implements the prose spec in its header over packed
+flat arrays, with a fused cluster tracker; it is built on demand with
+the system compiler and loaded through :mod:`ctypes`.  The build
+forbids FP contraction (``-ffp-contract=off -fno-fast-math``) so no
+fused multiply-adds can perturb the float stream — the kernel must
+stay byte-identical to ``CascadeModel`` and the DES, which the
+differential matrix (``tests/test_engine_differential.py``) checks.
+:func:`resolve_compiled` returns the kernel callable or None, cached
+for the process.  NumPy is required (the packed state lives in
+ndarrays); environments without it, or without a C compiler, run
+``CascadeModel`` per member instead.
 
 State packing
 -------------
@@ -275,7 +276,7 @@ def _build_clib():
                 "-fPIC",
                 "-shared",
                 # No FMA contraction, no fast-math value changes: the
-                # kernel must round exactly like the python backend.
+                # kernel must round exactly like CascadeModel.
                 "-ffp-contract=off",
                 "-fno-fast-math",
                 src,

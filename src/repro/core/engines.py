@@ -19,14 +19,12 @@ Engines
     one Python implementation of the cascade rule.  Bit-identical to
     the DES, one model per seed.
 ``batch``
-    :class:`~repro.core.batch.BatchCascade`: a whole ensemble of
-    seeds per call, bit-identical to ``cascade`` member by member.
-    Two backends (see :data:`repro.core.batch.BACKENDS`): ``python``
-    (each member through the same kernel as ``cascade``; zero
-    dependencies) and ``compiled`` (the fully-coupled rule as a
-    bundled C kernel, which needs NumPy and ``cc``).  ``compiled`` is
-    the default wherever it builds, else ``python``.  Both are
-    enforced byte-identical by ``tests/test_engine_differential.py``.
+    :class:`~repro.core.batch.BatchCascade`, bit-identical to
+    ``cascade`` member by member; a job runs it with one seed.
+    Complete couplings run the bundled C kernel wherever it builds
+    (it needs NumPy and ``cc``); everything else runs one
+    ``CascadeModel`` per member.  Enforced byte-identical by
+    ``tests/test_engine_differential.py``.
 """
 
 from __future__ import annotations

@@ -83,9 +83,9 @@ class CascadeModel:
         self.tracker = ClusterTracker(n, keep_history=keep_cluster_history, probe=probe)
         master = RandomSource(seed=seed)
         self._rngs = [master.spawn(i) for i in range(n)]
-        phase_rng = master.spawn(n + 1)
+        self._phase_rng = master.spawn(n + 1)
         if initial_phases == "unsynchronized":
-            phases = [phase_rng.uniform(0.0, params.tp) for _ in range(n)]
+            phases = [self._phase_rng.uniform(0.0, params.tp) for _ in range(n)]
         elif initial_phases == "synchronized":
             phases = [0.0] * n
         else:
@@ -111,14 +111,17 @@ class CascadeModel:
     ) -> float:
         """Advance cascades until the horizon or a stop condition."""
         params = self.params
-        # rng.uniform(low, high), with its operands hoisted: the same
-        # floats in the same order, so the same bits.
+        # rng.uniform(low, high), with its operands hoisted and the
+        # generator's Lehmer step inlined over plain int states: the
+        # same floats in the same order, so the same bits.
         low = params.tp - params.tr
         span = (params.tp + params.tr) - low
-        randoms = [rng.random for rng in self._rngs]
+        states = self.rng_states()
 
         def draw(node: int) -> float:
-            return low + span * randoms[node]()
+            state = (16807 * states[node]) % 2147483647  # MULTIPLIER, MODULUS
+            states[node] = state
+            return low + span * (state / 2147483647)
 
         stop_time, closed = advance_coupled(
             self._heap,
@@ -131,9 +134,20 @@ class CascadeModel:
             stop_on_full_unsync=stop_on_full_unsync,
             probe=self.probe,
         )
+        for rng, state in zip(self._rngs, states):
+            rng._gen._state = state
         self.total_cascades += closed
         self.now = max(self.now, until) if stop_time is None else stop_time
         return self.now
+
+    def rng_states(self) -> list[int]:
+        """Each router's current Lehmer state, in node order.
+
+        Equal to ``PeriodicMessagesModel``'s ``router.rng._gen.state``
+        at the same point: the witness that both engines consumed each
+        stream to the same position.
+        """
+        return [rng._gen.state for rng in self._rngs]
 
     @property
     def synchronization_time(self) -> float | None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fastsim import CascadeModel
+from .engines import resolve_engine
 from .model import ModelConfig, PeriodicMessagesModel
 from .parameters import RouterTimingParameters
 
@@ -57,10 +57,38 @@ class SweepResult:
         return None if self.time is None else self.time / round_length
 
 
-def _validate_engine(engine: str) -> None:
-    from .engines import resolve_engine
+def _first_passage(
+    params: RouterTimingParameters,
+    horizon: float,
+    seed: int,
+    engine: str,
+    direction: str,
+    config_overrides: dict,
+) -> float | None:
+    """One simulation's terminal time: full sync ("up") or break-up ("down").
 
+    Without config overrides this is exactly one
+    :class:`~repro.parallel.SimulationJob` through
+    :func:`~repro.parallel.run_job`, the one engine dispatch.  Config
+    overrides (e.g. a notification delay) exist only in the DES.
+    """
     resolve_engine(engine)
+    if not config_overrides:
+        from ..parallel import SimulationJob, run_job
+
+        job = SimulationJob.from_params(
+            params, seed=seed, horizon=horizon, direction=direction, engine=engine
+        )
+        return run_job(job).terminal_time(job)
+    up = direction == "up"
+    config = ModelConfig.from_parameters(
+        params, seed=seed, keep_cluster_history=False, **config_overrides
+    )
+    des = PeriodicMessagesModel(
+        config, initial_phases="unsynchronized" if up else "synchronized"
+    )
+    des.run(until=horizon, stop_on_full_sync=up, stop_on_full_unsync=not up)
+    return des.tracker.synchronization_time if up else des.tracker.breakup_time
 
 
 def time_to_synchronize(
@@ -73,29 +101,12 @@ def time_to_synchronize(
     """Seconds until an unsynchronized start first reaches a full cluster.
 
     ``engine`` selects the implementation: ``"cascade"`` (default,
-    ~8x faster), ``"batch"`` (the struct-of-arrays kernel, a batch of
-    one here), or ``"des"``; all three produce identical trajectories
-    for the pure periodic model (see
+    ~8x faster), ``"batch"``, or ``"des"``; all three produce
+    identical trajectories for the pure periodic model (see
     tests/test_engine_differential.py).  Config overrides (e.g. a
     notification delay) force the DES.
     """
-    _validate_engine(engine)
-    if engine == "batch" and not config_overrides:
-        from .batch import BatchCascade
-
-        batch = BatchCascade(params, [seed], initial_phases="unsynchronized")
-        batch.run(until=horizon, stop_on_full_sync=True)
-        return batch.members[0].synchronization_time
-    if engine == "cascade" and not config_overrides:
-        model = CascadeModel(params, seed=seed, initial_phases="unsynchronized")
-        model.run(until=horizon, stop_on_full_sync=True)
-        return model.synchronization_time
-    config = ModelConfig.from_parameters(
-        params, seed=seed, keep_cluster_history=False, **config_overrides
-    )
-    des = PeriodicMessagesModel(config, initial_phases="unsynchronized")
-    des.run(until=horizon, stop_on_full_sync=True)
-    return des.tracker.synchronization_time
+    return _first_passage(params, horizon, seed, engine, "up", config_overrides)
 
 
 def time_to_break_up(
@@ -109,23 +120,7 @@ def time_to_break_up(
 
     See :func:`time_to_synchronize` for the ``engine`` parameter.
     """
-    _validate_engine(engine)
-    if engine == "batch" and not config_overrides:
-        from .batch import BatchCascade
-
-        batch = BatchCascade(params, [seed], initial_phases="synchronized")
-        batch.run(until=horizon, stop_on_full_unsync=True)
-        return batch.members[0].breakup_time
-    if engine == "cascade" and not config_overrides:
-        model = CascadeModel(params, seed=seed, initial_phases="synchronized")
-        model.run(until=horizon, stop_on_full_unsync=True)
-        return model.breakup_time
-    config = ModelConfig.from_parameters(
-        params, seed=seed, keep_cluster_history=False, **config_overrides
-    )
-    des = PeriodicMessagesModel(config, initial_phases="synchronized")
-    des.run(until=horizon, stop_on_full_unsync=True)
-    return des.tracker.breakup_time
+    return _first_passage(params, horizon, seed, engine, "down", config_overrides)
 
 
 def _run_sweep(
@@ -162,7 +157,7 @@ def _run_sweep(
 
     if direction not in ("synchronize", "break_up"):
         raise ValueError(f"unknown direction {direction!r}")
-    _validate_engine(engine)
+    resolve_engine(engine)
     job_direction = "up" if direction == "synchronize" else "down"
     grid = [
         (value, seed, params)
@@ -313,7 +308,7 @@ def find_transition_n(
         resolve_checkpoint,
     )
 
-    _validate_engine(engine)
+    resolve_engine(engine)
     from ..topo import ensure_spec
 
     topology = ensure_spec(topology).canonical()

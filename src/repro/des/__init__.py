@@ -1,14 +1,13 @@
 """Discrete-event simulation substrate.
 
 Provides the :class:`Simulator` event loop (binary-heap backed),
-:class:`Event` scheduling with deterministic tie-breaking,
-and statistics collectors.
+:class:`Event` scheduling with deterministic tie-breaking, and
+generator-based processes.
 """
 
 from .engine import SimulationError, Simulator
 from .events import Event, EventCancelled
 from .process import Process, Signal, all_of, spawn
-from .stats import Counter, Histogram, Tally, TimeWeighted
 
 __all__ = [
     "Process",
@@ -19,8 +18,4 @@ __all__ = [
     "SimulationError",
     "Event",
     "EventCancelled",
-    "Counter",
-    "Histogram",
-    "Tally",
-    "TimeWeighted",
 ]

@@ -54,7 +54,7 @@ import sys
 from typing import Sequence
 
 from ..core.engines import resolve_engine
-from .registry import TOPOLOGY_FIGURES, figure_ids, run_figure
+from .registry import PARALLEL_FIGURES, TOPOLOGY_FIGURES, figure_ids, run_figure
 
 __all__ = ["main", "build_parser"]
 
@@ -79,6 +79,10 @@ def _render_plots(result) -> str:
     for note in result.notes:
         lines.append(f"  note: {note}")
     return "\n".join(lines)
+
+
+#: Where serve listens and loadgen connects unless --port says otherwise.
+DEFAULT_PORT = 8793
 
 
 def _positive_int(text: str) -> int:
@@ -229,8 +233,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sub.add_argument(
             "--port",
             type=int,
-            default=8793,
-            help="listen/connect port; 0 asks the OS for a free port (default 8793)",
+            default=DEFAULT_PORT,
+            help=(
+                "listen/connect port; 0 asks the OS for a free port "
+                f"(default {DEFAULT_PORT})"
+            ),
         )
 
     def server(sub):
@@ -277,6 +284,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             help="series points to print per figure (default 25)",
         )
         sub.set_defaults(topology=None)
+
+    def analytic(sub):
+        # An analytic figure runs no simulation jobs: there is nothing
+        # to fan out, pick an engine for, cache or resume.
+        sub.set_defaults(
+            jobs=None, engine=None, no_cache=False, resume=False, cache_root=None
+        )
 
     def topology(sub):
         sub.add_argument(
@@ -510,16 +524,29 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             ),
         )
 
-    figures = [figure, plot, jobs, engine, store, cache_root, observe]
+    def chaos_only(sub):
+        # Declared last: None marks "not given" for the flags whose
+        # meaning depends on --chaos, which _check_loadgen enforces.
+        sub.set_defaults(
+            port=None,
+            queue_depth=None,
+            workers=None,
+            check=lambda args: _check_loadgen(args, sub.error),
+        )
+
+    figures = [figure, plot, observe]
+    simulated = [jobs, engine, store, cache_root]
     table = {
         figure_id: (
             _run_figures,
-            figures + ([topology] if figure_id in TOPOLOGY_FIGURES else []),
+            figures
+            + (simulated if figure_id in PARALLEL_FIGURES else [analytic])
+            + ([topology] if figure_id in TOPOLOGY_FIGURES else []),
         )
         for figure_id in figure_ids()
     }
     table.update(
-        all=(_run_figures, figures),
+        all=(_run_figures, figures + simulated),
         list=(_run_list, []),
         bench=(_run_bench, [workload, jobs]),
         cache=(_run_cache, [cache_action, cache_root]),
@@ -536,7 +563,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
         loadgen=(
             _run_loadgen,
-            [load, address, server, jobs, engine, cache_root, observe],
+            [load, address, server, jobs, engine, cache_root, observe, chaos_only],
         ),
     )
     parser = argparse.ArgumentParser(
@@ -756,6 +783,30 @@ def _run_serve(args) -> int:
     return serve_forever(config, announce=announce)
 
 
+def _check_loadgen(args, error) -> None:
+    """Reject the loadgen flags this run would ignore, as usage errors.
+
+    A plain run drives load at --host/--port and reads no server
+    setting; a --chaos run hosts its own fleet on a free port.
+    """
+    if args.chaos:
+        ignored = {"--port": args.port}
+        reason = "the --chaos fleet listens on a free port"
+    else:
+        ignored = {
+            "--workers": args.workers,
+            "--jobs": args.jobs,
+            "--engine": args.engine,
+            "--queue-depth": args.queue_depth,
+            "--deadline": args.deadline,
+            "--cache-root": args.cache_root,
+        }
+        reason = "only a --chaos run hosts a server to configure"
+    given = [flag for flag, value in ignored.items() if value is not None]
+    if given:
+        error(f"{', '.join(given)} would be ignored: {reason}")
+
+
 def _run_loadgen(args) -> int:
     """The 'loadgen' command: seeded load against a running server.
 
@@ -776,11 +827,12 @@ def _run_loadgen(args) -> int:
     )
     if args.chaos:
         return _run_chaos_loadgen(args, plan)
+    port = DEFAULT_PORT if args.port is None else args.port
     try:
-        report = run_load(plan, args.host, args.port)
+        report = run_load(plan, args.host, port)
     except (ConnectionError, OSError) as error:
         print(
-            f"error: cannot reach server at {args.host}:{args.port}: {error}",
+            f"error: cannot reach server at {args.host}:{port}: {error}",
             file=sys.stderr,
         )
         return 2
@@ -795,20 +847,23 @@ def _run_chaos_loadgen(args, plan) -> int:
     seeds = tuple(
         spec["seed"] for spec in plan.specs[: max(1, len(plan.specs) // 2)]
     )
+    given = {
+        name: getattr(args, name)
+        for name in ("jobs", "queue_depth", "engine")
+        if getattr(args, name) is not None
+    }
     config = ServeConfig(
         host=args.host,
         port=0,  # the fleet is self-hosted; never squat the real port
-        jobs=args.jobs or 1,
-        queue_depth=args.queue_depth,
         deadline=args.deadline or 60.0,
         cache_root=args.cache_root or "results/chaos_cache",
-        engine=args.engine or "cascade",
-        workers=max(2, args.workers),
+        workers=max(2, args.workers or 2),
         claim_ttl=2.0,
         faults=FaultPlan.of(
             FaultPlan.serve_crash(seeds=seeds[:1]),
             FaultPlan.claim_orphan(seeds=seeds[-1:]),
         ),
+        **given,
     )
     report = run_chaos_load(plan, config)
     print(format_report(report))
@@ -1046,6 +1101,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
+        if "check" in args:  # what argparse alone cannot express
+            args.check(args)
     except SystemExit as stop:  # usage errors exit 2, --help exits 0
         return stop.code
     # Commands without the obs flags, or runs that set none of them.

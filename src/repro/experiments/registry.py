@@ -132,8 +132,9 @@ def run_figure(
         Apply the registry's reduced-scale arguments.
     jobs:
         Worker processes for drivers in :data:`PARALLEL_FIGURES`
-        (silently ignored elsewhere — the CLI passes it for every
-        figure).
+        (ignored elsewhere; the CLI declares ``--jobs``, ``--engine``,
+        ``--no-cache``, ``--resume`` and ``--cache-root`` only on
+        those figures and ``all``).
     cache:
         Optional :class:`~repro.parallel.ResultCache`, same scoping.
     checkpoint:

@@ -48,8 +48,6 @@ from .job import (
     MODEL_VERSION,
     JobResult,
     SimulationJob,
-    batch_group_key,
-    batch_groups,
     run_batch,
     run_job,
     run_jobs,
@@ -87,8 +85,6 @@ __all__ = [
     "RunnerStats",
     "SimulationJob",
     "TransientInjectedError",
-    "batch_group_key",
-    "batch_groups",
     "deterministic_jitter",
     "resolve_checkpoint",
     "run_batch",

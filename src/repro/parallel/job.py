@@ -31,8 +31,6 @@ __all__ = [
     "MODEL_VERSION",
     "JobResult",
     "SimulationJob",
-    "batch_group_key",
-    "batch_groups",
     "run_batch",
     "run_job",
     "run_jobs",
@@ -65,9 +63,9 @@ class SimulationJob:
         to each size (Figure 11).
     engine:
         ``"des"``, ``"cascade"``, or ``"batch"`` (see
-        :mod:`repro.core.engines`).  Batch jobs stay one-seed specs —
-        the cache key, checkpoints, and dedup all keep working — and
-        the executors regroup them into shared kernels at run time.
+        :mod:`repro.core.engines`).  A batch job is one seed like any
+        other: :func:`run_job` runs it as a one-member
+        :class:`~repro.core.batch.BatchCascade`.
     topology:
         Coupling graph in :func:`repro.topo.parse_topology` grammar,
         normalized to canonical form at construction.  ``"clique"``
@@ -242,113 +240,38 @@ def run_job(
     up = job.direction == "up"
     phases = "unsynchronized" if up else "synchronized"
     topology = None if job.topology == "clique" else job.topology
+    stops = dict(stop_on_full_sync=up, stop_on_full_unsync=not up)
     if job.engine == "cascade":
         model = CascadeModel(
             job.params, seed=job.seed, initial_phases=phases, topology=topology
         )
-        model.run(
-            until=job.horizon,
-            stop_on_full_sync=up,
-            stop_on_full_unsync=not up,
-        )
+        model.run(until=job.horizon, **stops)
         tracker = model.tracker
     elif job.engine == "des":
         config = ModelConfig.from_parameters(
             job.params, seed=job.seed, keep_cluster_history=False
         )
         des = PeriodicMessagesModel(config, initial_phases=phases)
-        des.run(
-            until=job.horizon,
-            stop_on_full_sync=up,
-            stop_on_full_unsync=not up,
-        )
+        des.run(until=job.horizon, **stops)
         tracker = des.tracker
     elif job.engine == "batch":
-        # A batch of one: bit-identical to the grouped kernel because
-        # members are independent (tests/test_engine_differential.py).
-        return run_batch([job])[0]
+        batch = BatchCascade(
+            job.params, [job.seed], initial_phases=phases, topology=topology
+        )
+        batch.run(until=job.horizon, **stops)
+        tracker = batch.members[0]
     else:  # pragma: no cover - __post_init__ rejects unknown engines
         raise ValueError(f"unknown engine {job.engine!r}")
     mapping = tracker.first_time_at_least if up else tracker.first_time_at_most
     return JobResult(first_passages=dict(mapping))
 
 
-def batch_group_key(job: SimulationJob) -> tuple:
-    """Everything but the seed: jobs agreeing here share one kernel."""
-    return (
-        job.n_nodes,
-        job.tp,
-        job.tc,
-        job.tr,
-        job.horizon,
-        job.direction,
-        job.topology,
-    )
-
-
-def batch_groups(
-    jobs: Sequence[SimulationJob], regroup: bool = True
-) -> tuple[list[int], list[list[int]]]:
-    """Split job positions into jobs run alone and shared-kernel groups.
-
-    Batch-engine jobs agreeing on :func:`batch_group_key` form one
-    group for :func:`run_batch`; a group of one and every other job
-    run alone.  ``regroup=False`` — a fault plan is armed, or this is
-    a retry — runs every job alone, so fault hooks and attempt
-    accounting see each job.  Positions keep input order.
-    """
-    groups: dict[tuple, list[int]] = {}
-    if regroup:
-        for i, job in enumerate(jobs):
-            if job.engine == "batch":
-                groups.setdefault(batch_group_key(job), []).append(i)
-    shared = [group for group in groups.values() if len(group) > 1]
-    grouped = {i for group in shared for i in group}
-    return [i for i in range(len(jobs)) if i not in grouped], shared
-
-
-def run_batch(
-    jobs: Sequence[SimulationJob], backend: str | None = None
-) -> list[JobResult]:
-    """Execute a group of same-parameter jobs through one batch kernel.
-
-    Every job must use ``engine="batch"`` and agree on
-    :func:`batch_group_key`; only the seeds differ.  Results come back
-    in job order and are bit-identical to running each job alone —
-    the jobs stay individually cacheable and checkpointable.
-    ``backend`` forces the kernel ("python"/"compiled"); None uses
-    the default (:func:`repro.core.batch.default_backend`).
-    """
-    jobs = list(jobs)
-    if not jobs:
-        return []
-    first = jobs[0]
+def run_batch(jobs: Sequence[SimulationJob]) -> list[JobResult]:
+    """Run batch-engine jobs, each alone through :func:`run_job`."""
     for job in jobs:
         if job.engine != "batch":
             raise ValueError(f"run_batch() requires engine='batch', got {job.engine!r}")
-        if batch_group_key(job) != batch_group_key(first):
-            raise ValueError("run_batch() requires jobs sharing one parameter point")
-    up = first.direction == "up"
-    batch = BatchCascade(
-        first.params,
-        seeds=[job.seed for job in jobs],
-        initial_phases="unsynchronized" if up else "synchronized",
-        backend=backend,
-        topology=None if first.topology == "clique" else first.topology,
-    )
-    batch.run(
-        until=first.horizon,
-        stop_on_full_sync=up,
-        stop_on_full_unsync=not up,
-    )
-    return [
-        JobResult(
-            first_passages=dict(
-                member.first_time_at_least if up else member.first_time_at_most
-            )
-        )
-        for member in batch.members
-    ]
+    return [run_job(job) for job in jobs]
 
 
 def run_jobs(
@@ -361,36 +284,30 @@ def run_jobs(
     """Execute a chunk of jobs: the one pool worker entry point.
 
     Returns ``(results, spans, profile_rows)``.  Results come back in
-    input order.  Batch-engine jobs are regrouped by parameter point
-    (:func:`batch_groups`) and advanced through shared kernels — the
-    "batch within a worker" half of the fan-out; the runner's chunking
-    is the other.
+    input order; every job, whatever its engine, runs alone through
+    :func:`run_job`.
 
     The fault plan (picklable, stateless) travels to the worker with
     the chunk, so injected worker-side failures are as deterministic
-    as the simulations themselves.  When a plan is armed, batch jobs
-    run one by one through :func:`run_job` so the plan sees the same
-    per-job hook sequence on every engine.
+    as the simulations themselves.
 
     ``trace`` runs the chunk under a *local* tracer (workers never
     share the parent's global runtime) with a ``worker.chunk`` span
-    around ``job.run``/``batch.run`` spans; ``profile`` collects
-    cProfile rows.  Both are picklable records the parent ingests, so
-    a pooled run yields one coherent multi-process trace.  With both
-    off the two lists come back empty and no per-job key is hashed.
+    around one ``job.run`` span per job; ``profile`` collects cProfile
+    rows.  Both are picklable records the parent ingests, so a pooled
+    run yields one coherent multi-process trace.  With both off the
+    two lists come back empty and no per-job key is hashed.
     """
     from ..obs.spans import Tracer
 
     tracer = Tracer(enabled=trace)
     profile_rows: list[dict] = []
     jobs = list(jobs)
-    results: list[JobResult | None] = [None] * len(jobs)
-    singles, groups = batch_groups(jobs, regroup=faults is None)
+    results: list[JobResult] = []
 
     def execute() -> None:
         with tracer.span("worker.chunk", jobs=len(jobs), attempt=attempt):
-            for i in singles:
-                job = jobs[i]
+            for job in jobs:
                 with tracer.span(
                     "job.run",
                     key=job.cache_key()[:12] if trace else "",
@@ -400,20 +317,7 @@ def run_jobs(
                     n_nodes=job.n_nodes,
                     attempt=attempt,
                 ):
-                    results[i] = run_job(job, faults, attempt)
-            for indices in groups:
-                members = [jobs[i] for i in indices]
-                with tracer.span(
-                    "batch.run",
-                    key=members[0].cache_key()[:12] if trace else "",
-                    members=len(members),
-                    engine="batch",
-                    direction=members[0].direction,
-                    n_nodes=members[0].n_nodes,
-                    attempt=attempt,
-                ):
-                    for i, result in zip(indices, run_batch(members)):
-                        results[i] = result
+                    results.append(run_job(job, faults, attempt))
 
     if profile:
         from ..obs.profile import profiled

@@ -58,7 +58,7 @@ from ..obs import obs
 from .cache import ResultCache
 from .checkpoint import CheckpointJournal
 from .faults import FaultPlan
-from .job import JobResult, SimulationJob, batch_groups, run_batch, run_job, run_jobs
+from .job import JobResult, SimulationJob, run_job, run_jobs
 from .report import RunReport
 
 __all__ = [
@@ -262,7 +262,8 @@ class ParallelRunner:
             if self.jobs > 1 and len(pending) > 1:
                 self._run_pooled(pending, commit, fail)
             else:
-                self._run_serial(pending, commit, fail, first_attempt=0)
+                for index, spec in pending:
+                    self._run_single(index, spec, commit, fail)
 
         if failures:
             if self.on_error == "raise":
@@ -276,87 +277,6 @@ class ParallelRunner:
         return results  # type: ignore[return-value]  # every slot is filled
 
     # -- execution strategies -------------------------------------------------
-
-    def _run_serial(
-        self,
-        pending: Sequence[tuple[int, SimulationJob]],
-        commit: Callable,
-        fail: Callable,
-        first_attempt: int,
-    ) -> None:
-        # Batch-engine jobs sharing a parameter point advance through
-        # one kernel (the grouping the pool workers apply in run_jobs).
-        # Chaos runs and fallback retries stay per-job so fault hooks
-        # and attempt accounting keep their semantics.
-        singles, groups = batch_groups(
-            [spec for _index, spec in pending],
-            regroup=self.faults is None and first_attempt == 0,
-        )
-        for group in groups:
-            self._run_batch_group([pending[p] for p in group], commit, fail)
-        for p in singles:
-            index, spec = pending[p]
-            self._run_single(index, spec, commit, fail, first_attempt)
-
-    def _run_batch_group(
-        self,
-        group: list[tuple[int, SimulationJob]],
-        commit: Callable,
-        fail: Callable,
-    ) -> None:
-        """One shared kernel for a group of same-parameter batch jobs.
-
-        Any failure — a deadline overrun of the whole group, a worker
-        of one — falls back to per-job execution, which classifies and
-        retries each job under the normal :meth:`_run_single` rules.
-        The kernel's results are identical to the per-job path, so the
-        fallback can never change a number.
-        """
-        o = obs()
-        specs = [spec for _index, spec in group]
-        span = o.span(
-            "batch.run",
-            key=specs[0].cache_key()[:12] if o.enabled else "",
-            members=len(specs),
-            engine="batch",
-            where="inprocess",
-        )
-        with span:
-            try:
-                outcomes = self._execute_batch(specs)
-            except Exception as error:
-                span.set(outcome="fallback", error=type(error).__name__)
-                o.emit(
-                    "runner.batch_fallback",
-                    f"batch group of {len(specs)} job(s) failed "
-                    f"({type(error).__name__}); re-running per job",
-                    jobs=len(specs),
-                    error=repr(error),
-                )
-                for index, spec in group:
-                    self._run_single(index, spec, commit, fail, first_attempt=0)
-                return
-            span.set(outcome="ok")
-        for (index, spec), result in zip(group, outcomes):
-            commit(index, spec, result, attempts=1)
-
-    def _execute_batch(self, specs: list[SimulationJob]) -> list[JobResult]:
-        """Run one batch group in-process, under its group deadline."""
-        if self.timeout is None:
-            return run_batch(specs)
-        watchdog = ThreadPoolExecutor(max_workers=1)
-        future = watchdog.submit(run_batch, specs)
-        try:
-            # The group gets the same budget its jobs would get singly.
-            return future.result(timeout=self.timeout * len(specs))
-        except FutureTimeoutError:
-            future.cancel()
-            raise JobTimeoutError(
-                f"batch group of {len(specs)} job(s) exceeded its group "
-                f"deadline ({self.timeout:g} s/job)"
-            ) from None
-        finally:
-            watchdog.shutdown(wait=False)
 
     def _run_single(
         self,
@@ -470,7 +390,8 @@ class ParallelRunner:
                 pending=len(pending),
             )
             self.stats.fallback += len(pending)
-            self._run_serial(pending, commit, fail, first_attempt=0)
+            for index, spec in pending:
+                self._run_single(index, spec, commit, fail)
             return
 
         # (chunk, error, was_timeout) for every chunk lost in the pool.

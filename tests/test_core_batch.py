@@ -1,11 +1,11 @@
-"""The batched struct-of-arrays kernel: backends, grouping, resume.
+"""The batch engine: its two paths, its jobs in the runner, resume.
 
 Bit-identity with the serial engines lives in
 ``test_engine_differential.py``; this module covers the batch layer's
-own machinery — backend resolution and forcing, import hygiene, the
-no-compiler fallback, constructor validation, the ``run_batch``
-grouping contract, the runner's transparent regrouping (serial and
-pooled), and the per-job fallback when a whole group fails.
+own machinery — which path resolves, import hygiene, the no-compiler
+fallback, constructor validation, ``run_batch``, and batch jobs in the
+runner (serial, pooled, traced and fault-armed), each of which runs
+alone exactly like a cascade job.
 """
 
 import os
@@ -22,9 +22,9 @@ from repro.core import BatchCascade, CascadeModel, RouterTimingParameters
 from repro.core.batch import BACKEND
 from repro.core.sweeps import time_to_break_up, time_to_synchronize
 from repro.parallel import (
+    FaultPlan,
     ParallelRunner,
     SimulationJob,
-    batch_group_key,
     run_batch,
     run_job,
 )
@@ -48,14 +48,7 @@ class TestConstruction:
         expected = (
             "compiled" if batch_mod.compiled_backend_available() else "python"
         )
-        assert BACKEND == batch_mod.default_backend() == expected
-        assert BatchCascade(PARAMS, [1]).backend == expected
-
-    def test_unknown_backend_rejected(self):
-        # numpy is a dependency of the compiled backend, not a backend.
-        for name in ("fortran", "numpy"):
-            with pytest.raises(ValueError, match="unknown batch backend"):
-                BatchCascade(PARAMS, [1], backend=name)
+        assert BACKEND == expected
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds must be non-empty"):
@@ -91,7 +84,7 @@ class TestImportHygiene:
 
 
 class TestNoCompiler:
-    """A box without ``cc`` runs the python backend, and says so."""
+    """A box without ``cc`` runs CascadeModel per member, and says so."""
 
     @pytest.fixture
     def no_compiler(self, monkeypatch, tmp_path):
@@ -104,17 +97,11 @@ class TestNoCompiler:
         monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(tmp_path / "ckernel"))
 
     def test_default_falls_back_to_python(self, no_compiler):
-        assert batch_mod.default_backend() == "python"
         assert batch_mod.BACKEND == "python"
         assert not batch_mod.compiled_backend_available()
 
-    def test_compiled_request_raises(self, no_compiler):
-        with pytest.raises(RuntimeError, match="compiled backend requested"):
-            BatchCascade(PARAMS, [1], backend="compiled")
-
     def test_default_run_matches_cascade(self, no_compiler):
         batch = BatchCascade(PARAMS, [3], keep_cluster_history=True)
-        assert batch.backend == "python"
         ends = batch.run(until=5000.0)
         model = CascadeModel(PARAMS, seed=3, keep_cluster_history=True)
         end = model.run(until=5000.0)
@@ -127,7 +114,7 @@ class TestNoCompiler:
         assert [(g.time, g.size) for g in member.groups] == [
             (g.time, g.size) for g in tracker.groups
         ]
-        assert batch.rng_states(0) == [rng._gen.state for rng in model._rngs]
+        assert batch.rng_states(0) == model.rng_states()
 
 
 class TestRunBatch:
@@ -139,35 +126,26 @@ class TestRunBatch:
             r.first_passages for r in singles
         ]
 
-    def test_backend_forcing_is_identical(self):
+    def test_down_direction_matches_cascade(self):
         jobs = jobs_for([5, 6, 7], direction="down", tr=1.2)
-        python = run_batch(jobs, backend="python")
-        assert [r.first_passages for r in python] == [
-            r.first_passages for r in run_batch(jobs)
+        cascade = [
+            run_job(job)
+            for job in jobs_for([5, 6, 7], engine="cascade", direction="down", tr=1.2)
         ]
-        if batch_mod.compiled_backend_available():
-            compiled = run_batch(jobs, backend="compiled")
-            assert [r.first_passages for r in compiled] == [
-                r.first_passages for r in python
-            ]
+        assert [r.first_passages for r in run_batch(jobs)] == [
+            r.first_passages for r in cascade
+        ]
 
     def test_rejects_non_batch_engines(self):
         with pytest.raises(ValueError, match="requires engine='batch'"):
             run_batch(jobs_for([1], engine="cascade"))
 
-    def test_rejects_mixed_parameter_points(self):
+    def test_mixed_parameter_points_run_alone(self):
         mixed = jobs_for([1]) + jobs_for([2], horizon=5000.0)
-        with pytest.raises(ValueError, match="sharing one parameter point"):
-            run_batch(mixed)
+        assert run_batch(mixed) == [run_job(job) for job in mixed]
 
     def test_empty_group_is_empty(self):
         assert run_batch([]) == []
-
-    def test_group_key_excludes_the_seed(self):
-        a, b = jobs_for([1, 99])
-        assert batch_group_key(a) == batch_group_key(b)
-        (c,) = jobs_for([1], horizon=5000.0)
-        assert batch_group_key(a) != batch_group_key(c)
 
 
 class TestRunnerIntegration:
@@ -191,9 +169,10 @@ class TestRunnerIntegration:
 
     @pytest.mark.parametrize("obs_on", [False, True], ids=["obs-off", "obs-on"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_mixed_parameter_points_regroup_correctly(self, jobs, obs_on):
-        # Interleaved so each pool chunk of 4 holds a non-contiguous
-        # batch group next to lone batch and cascade jobs.
+    def test_mixed_jobs_match_serial_run_job(self, jobs, obs_on):
+        # Interleaved batch and cascade jobs at several parameter
+        # points, so each pool chunk of 4 mixes engines and points;
+        # every one of them is one job.run span.
         down = dict(direction="down", tr=1.2)
         jobs_list = (
             jobs_for([1])
@@ -213,30 +192,40 @@ class TestRunnerIntegration:
             got = ParallelRunner(jobs=jobs, cache=None, chunk_size=4).run(
                 jobs_list
             )
-            names = {r.name for r in obs_runtime.obs().tracer.records}
+            names = [r.name for r in obs_runtime.obs().tracer.records]
         finally:
             obs_runtime.reset()
         assert [r.to_dict() for r in got] == [r.to_dict() for r in expected]
         if obs_on:
-            assert "batch.run" in names and "job.run" in names
-            if jobs > 1:
-                assert "worker.chunk" in names
+            # One job.run per job, under the runner's (and, pooled, the
+            # workers' chunk) spans: nothing runs a group of jobs.
+            assert names.count("job.run") == len(jobs_list)
+            assert set(names) == {"runner.run", "job.run"} | (
+                {"worker.chunk"} if jobs > 1 else set()
+            )
         else:
-            assert names == set()
+            assert names == []
 
-    def test_group_failure_falls_back_to_per_job(self, monkeypatch):
-        import repro.parallel.runner as runner_mod
-
-        def boom(jobs, backend=None):
-            raise RuntimeError("kernel exploded")
-
-        monkeypatch.setattr(runner_mod, "run_batch", boom)
-        jobs = jobs_for([1, 2, 3])
-        runner = ParallelRunner(jobs=1, cache=None)
-        results = runner.run(jobs)
-        assert [r.first_passages for r in results] == [
-            r.first_passages for r in [run_job(job) for job in jobs]
-        ]
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fault_plan_reports_alike_on_batch_and_cascade(self, jobs):
+        plan = FaultPlan.of(
+            FaultPlan.transient(seeds=(2,)), FaultPlan.deterministic(seeds=(3,))
+        )
+        reports = {}
+        for engine in ("batch", "cascade"):
+            runner = ParallelRunner(
+                jobs=jobs, cache=None, faults=plan, on_error="censor",
+                backoff_base=0.0, chunk_size=2,
+            )
+            results = runner.run(jobs_for([1, 2, 3, 4], engine=engine))
+            reports[engine] = (runner.report.counts(), results)
+        assert reports["batch"] == reports["cascade"]
+        counts, results = reports["batch"]
+        # A pooled chunk that fails retries all of its jobs, so only the
+        # totals are independent of ``jobs``.
+        assert counts["failed"] == 1 and counts["ok"] + counts["retried"] == 3
+        assert counts["retried"] >= 1
+        assert results[2].first_passages == {}
 
     def test_cache_round_trip(self, tmp_path):
         from repro.parallel import ResultCache

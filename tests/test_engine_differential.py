@@ -3,8 +3,9 @@
 Three entirely different programs claim to produce the *same
 floating-point trajectory* from the same seed: the discrete-event
 queue, the Python cascade kernel (``repro.topo.advance_coupled``,
-driven by ``CascadeModel`` and by the batch engine's python backend),
-and the compiled C kernel behind ``backend="compiled"``.  This module
+driven by ``CascadeModel``, which the batch engine also runs wherever
+the C kernel does not), and the compiled C kernel the batch engine
+runs on complete couplings wherever it builds.  This module
 is the single place that claim is enforced — a parametrized grid over
 (N, Tp, Tc, Tr) x initial phases x censoring, comparing first-passage
 times, cluster histories, round series, and the *consumed positions of
@@ -29,12 +30,11 @@ from repro.core.batch import BACKEND, compiled_backend_available
 
 from tests._gen import CaseGen, model_cases
 
-# The compiled backend joins the matrix automatically wherever it can
-# build (numpy and a system C compiler); CI exports
+# The batch rows run the compiled kernel wherever it can build (numpy
+# and a system C compiler), else CascadeModel per member; CI exports
 # REPRO_EXPECT_COMPILED=1 so "could not build" fails loudly there
-# instead of silently shrinking the matrix.
+# instead of silently testing the python path twice.
 HAVE_COMPILED = compiled_backend_available()
-BACKENDS_UNDER_TEST = ["python", "compiled"] if HAVE_COMPILED else ["python"]
 EXPECT_COMPILED = os.environ.get("REPRO_EXPECT_COMPILED", "").strip() == "1"
 
 #: (n_nodes, tp, tc, tr) — paper parameters plus corners: no jitter,
@@ -102,25 +102,24 @@ def run_des(params, seed, horizon, phases, stops):
     )
 
 
-def run_cascade(params, seed, horizon, phases, stops):
+def run_cascade(params, seed, horizon, phases, stops, topology=None):
     model = CascadeModel(
-        params, seed=seed, initial_phases=phases, keep_cluster_history=True
+        params, seed=seed, initial_phases=phases,
+        keep_cluster_history=True, topology=topology,
     )
     end = model.run(until=horizon, **stops)
-    # CascadeModel does not retain its phase stream after __init__;
-    # the batch kernel's phase_rng_state is checked against DES.
     return _trace(
-        model.tracker, end, [rng._gen.state for rng in model._rngs], None
+        model.tracker, end, model.rng_states(), model._phase_rng._gen.state
     )
 
 
-def run_batch(params, seed, horizon, phases, stops, backend):
+def run_batch(params, seed, horizon, phases, stops, topology=None):
     batch = BatchCascade(
         params,
         [seed],
         initial_phases=phases,
         keep_cluster_history=True,
-        backend=backend,
+        topology=topology,
     )
     ends = batch.run(until=horizon, **stops)
     return _trace(
@@ -131,17 +130,12 @@ def run_batch(params, seed, horizon, phases, stops, backend):
 def assert_matrix_identical(params, seed, horizon, phases, stops):
     """Run every engine and compare the full traces with ``==``."""
     des = run_des(params, seed, horizon, phases, stops)
-    cascade = run_cascade(params, seed, horizon, phases, stops)
-    rows = {"cascade": cascade, "batch-python": run_batch(
-        params, seed, horizon, phases, stops, "python")}
-    if HAVE_COMPILED:
-        rows["batch-compiled"] = run_batch(
-            params, seed, horizon, phases, stops, "compiled"
-        )
+    rows = {
+        "cascade": run_cascade(params, seed, horizon, phases, stops),
+        f"batch-{BACKEND}": run_batch(params, seed, horizon, phases, stops),
+    }
     for name, row in rows.items():
         for field in des:
-            if field == "phase_state" and name == "cascade":
-                continue
             assert row[field] == des[field], (
                 f"{name} differs from des on {field!r} "
                 f"(params={params}, seed={seed}, phases={phases}, stops={stops})"
@@ -184,67 +178,29 @@ def test_batch_members_match_singletons():
 
 
 def test_batch_backends_identical_mid_run():
-    """Backends agree with CascadeModel across resumed horizons.
+    """The batch engine agrees with CascadeModel across resumed horizons.
 
-    Every batch backend and one CascadeModel per seed run the same
-    clique to a series of horizons; after each one every member must
-    agree on ``now``, ``total_cascades``, stream positions and cluster
-    output.
+    A batch and one CascadeModel per seed run the same clique to a
+    series of horizons; after each one every member must agree on
+    ``now``, ``total_cascades``, stream positions and cluster output.
     """
     params = RouterTimingParameters(n_nodes=8, tp=20.0, tc=0.3, tr=1.0)
     seeds = [5, 6]
-    batches = [
-        BatchCascade(params, seeds, backend=backend, keep_cluster_history=True)
-        for backend in BACKENDS_UNDER_TEST
-    ]
+    batch = BatchCascade(params, seeds, keep_cluster_history=True)
     models = [
         CascadeModel(params, seed=seed, keep_cluster_history=True)
         for seed in seeds
     ]
     for horizon in (500.0, 1500.0, 1500.0, 4000.0):
         ends = [model.run(until=horizon) for model in models]
-        for batch in batches:
-            assert batch.run(until=horizon) == ends, batch.backend
-            for k, model in enumerate(models):
-                member = batch.members[k]
-                assert member.total_cascades == model.total_cascades
-                assert batch.rng_states(k) == [
-                    rng._gen.state for rng in model._rngs
-                ]
-                assert _trace(member, member.now, None, None) == _trace(
-                    model.tracker, model.now, None, None
-                ), (batch.backend, horizon, k)
-
-
-def run_cascade_topo(params, seed, horizon, phases, stops, topology):
-    model = CascadeModel(
-        params, seed=seed, initial_phases=phases,
-        keep_cluster_history=True, topology=topology,
-    )
-    end = model.run(until=horizon, **stops)
-    return _trace(
-        model.tracker, end, [rng._gen.state for rng in model._rngs], None
-    )
-
-
-def run_batch_topo(params, seed, horizon, phases, stops, backend, topology):
-    batch = BatchCascade(
-        params,
-        [seed],
-        initial_phases=phases,
-        keep_cluster_history=True,
-        backend=backend,
-        topology=topology,
-    )
-    ends = batch.run(until=horizon, **stops)
-    return _trace(
-        batch.members[0], ends[0], batch.rng_states(0), batch.phase_rng_state(0)
-    )
-
-
-def _drop_phase(row):
-    """Trace minus ``phase_state`` (cascade retains no phase stream)."""
-    return {key: value for key, value in row.items() if key != "phase_state"}
+        assert batch.run(until=horizon) == ends, BACKEND
+        for k, model in enumerate(models):
+            member = batch.members[k]
+            assert member.total_cascades == model.total_cascades
+            assert batch.rng_states(k) == model.rng_states()
+            assert _trace(member, member.now, None, None) == _trace(
+                model.tracker, model.now, None, None
+            ), (BACKEND, horizon, k)
 
 
 #: Couplings whose generated graph is complete for the GRID sizes —
@@ -253,7 +209,7 @@ def _drop_phase(row):
 COMPLETE_TOPOLOGIES = ["clique", "erdos_renyi(p=1.0)", "switching(clique|clique,period=40.0)"]
 
 #: Non-complete couplings: no des reference exists, so the axis checks
-#: cascade == batch across every backend instead.
+#: cascade == batch instead.
 SPARSE_TOPOLOGIES = ["ring", "star", "tree(b=2)", "erdos_renyi(p=0.45,seed=3)",
                      "switching(ring|star,period=45.0)"]
 
@@ -270,36 +226,27 @@ def test_complete_topology_is_byte_identical_to_clique_engines(
     horizon = _horizon(tp, tc)
     for seed in (1, 7):
         baseline = run_cascade(params, seed, horizon, phases, {})
-        topo = run_cascade_topo(params, seed, horizon, phases, {}, topology)
+        topo = run_cascade(params, seed, horizon, phases, {}, topology)
         assert topo == baseline
-        batch_baseline = run_batch(params, seed, horizon, phases, {}, "python")
-        for backend in BACKENDS_UNDER_TEST:
-            row = run_batch_topo(
-                params, seed, horizon, phases, {}, backend, topology
-            )
-            assert row == batch_baseline, backend
+        row = run_batch(params, seed, horizon, phases, {}, topology)
+        assert row == baseline, BACKEND
 
 
 @pytest.mark.parametrize("censor", CENSORING)
 @pytest.mark.parametrize("topology", SPARSE_TOPOLOGIES)
 def test_sparse_topology_cascade_equals_batch(topology, censor):
-    """On non-clique graphs cascade and every batch backend agree with ==."""
+    """On non-clique graphs cascade and batch agree with ==."""
     for n, tp, tc, tr in [(6, 20.0, 0.5, 2.0), (8, 20.0, 0.3, 1.0)]:
         params = RouterTimingParameters(n_nodes=n, tp=tp, tc=tc, tr=tr)
         horizon = _horizon(tp, tc)
         for mode in ("unsynchronized", "synchronized"):
             stops = _stop_flags(mode, censor)
             for seed in (1, 7):
-                reference = run_cascade_topo(
+                reference = run_cascade(
                     params, seed, horizon, mode, stops, topology
                 )
-                for backend in BACKENDS_UNDER_TEST:
-                    row = run_batch_topo(
-                        params, seed, horizon, mode, stops, backend, topology
-                    )
-                    assert _drop_phase(row) == _drop_phase(reference), (
-                        backend, seed, mode,
-                    )
+                row = run_batch(params, seed, horizon, mode, stops, topology)
+                assert row == reference, (seed, mode)
 
 
 def test_sparse_topology_fuzz():
@@ -313,11 +260,9 @@ def test_sparse_topology_fuzz():
         )
         params = RouterTimingParameters(n_nodes=n, tp=20.0, tc=tc, tr=tr)
         horizon = _horizon(20.0, tc)
-        reference = run_cascade_topo(params, seed, horizon, phases, {}, topology)
-        row = run_batch_topo(
-            params, seed, horizon, phases, {}, BACKEND, topology
-        )
-        assert _drop_phase(row) == _drop_phase(reference), topology
+        reference = run_cascade(params, seed, horizon, phases, {}, topology)
+        row = run_batch(params, seed, horizon, phases, {}, topology)
+        assert row == reference, topology
 
 
 def test_topology_batch_resume_matches_single_run():

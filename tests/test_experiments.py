@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments import FigureResult, figure_ids, run_figure
 from repro.experiments.cli import build_parser, main
-from repro.experiments.registry import TOPOLOGY_FIGURES
+from repro.experiments.registry import PARALLEL_FIGURES, TOPOLOGY_FIGURES
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -172,8 +172,8 @@ class TestCli:
         assert args.no_cache is True
 
     def test_invalid_jobs_errors(self, capsys):
-        assert main(["fig09", "--jobs", "0"]) == 2
-        assert "jobs" in capsys.readouterr().err
+        assert main(["fig10", "--jobs", "0"]) == 2
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
 
     def test_parser_topology_flag(self):
         args = build_parser().parse_args(["fig10", "--topology", "ring"])
@@ -266,11 +266,36 @@ class TestServingCli:
         assert main(["loadgen", "--port", "1", "--duration", "1"]) == 2
         assert "cannot reach server" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--workers 2",
+            "--jobs 2",
+            "--engine batch",
+            "--queue-depth 8",
+            "--deadline 5",
+            "--cache-root x",
+        ],
+    )
+    def test_plain_loadgen_rejects_server_flags(self, flag, capsys):
+        # Only a --chaos run hosts a server these would configure; the
+        # usage error comes before any connection is tried.
+        assert main(["loadgen", "--port", "1", *flag.split()]) == 2
+        err = capsys.readouterr().err
+        assert "usage: repro-sync loadgen" in err
+        assert f"{flag.split()[0]} would be ignored" in err
+
+    def test_chaos_loadgen_rejects_port(self, capsys):
+        # The chaos fleet listens on a free port; the error comes
+        # before any fleet starts.
+        assert main(["loadgen", "--chaos", "--port", "9"]) == 2
+        assert "--port would be ignored" in capsys.readouterr().err
+
 
 _OBS_FLAGS = {"--trace", "--metrics", "--profile", "--verbose", "--quiet"}
-_FIGURE_FLAGS = {
-    "--fast", "--max-points", "--plot", "--jobs", "--engine", "--no-cache",
-    "--resume", "--cache-root", *_OBS_FLAGS,
+_ANALYTIC_FIGURE_FLAGS = {"--fast", "--max-points", "--plot", *_OBS_FLAGS}
+_FIGURE_FLAGS = _ANALYTIC_FIGURE_FLAGS | {
+    "--jobs", "--engine", "--no-cache", "--resume", "--cache-root",
 }
 _SERVER_FLAGS = {
     "--host", "--port", "--queue-depth", "--deadline", "--workers", "--jobs",
@@ -279,7 +304,9 @@ _SERVER_FLAGS = {
 #: Every command and the flags it (and only it) takes.
 COMMAND_FLAGS = {
     **{
-        figure_id: _FIGURE_FLAGS
+        figure_id: (
+            _FIGURE_FLAGS if figure_id in PARALLEL_FIGURES else _ANALYTIC_FIGURE_FLAGS
+        )
         | ({"--topology"} if figure_id in TOPOLOGY_FIGURES else set())
         for figure_id in figure_ids()
     },
@@ -402,6 +429,11 @@ class TestCommandParsers:
             "fig10 --predict",
             "serve --predict x",
             "fig10 --fast --port 9 --workers 3 --chaos --shard 0/2",
+            "fig09 --engine cascade",
+            "fig04 --jobs 2",
+            "fig13 --no-cache",
+            "fig01 --resume",
+            "fig14 --cache-root x",
         ],
     )
     def test_misrouted_or_abbreviated_flags_are_usage_errors(self, argv, capsys):

@@ -28,7 +28,7 @@ import pytest
 from repro.core import CascadeModel, RouterTimingParameters
 from repro.core.batch import BatchCascade
 from repro.obs.probes import SimulationProbe
-from repro.parallel.job import SimulationJob, batch_group_key
+from repro.parallel.job import SimulationJob
 from repro.topo import (
     Coupling,
     TopologySpec,
@@ -339,13 +339,6 @@ class TestJobIntegration:
         assert job.cache_key() != SimulationJob(
             6, 20.0, 0.5, 2.0, 3, 1000.0
         ).cache_key()
-
-    def test_group_key_separates_topologies(self):
-        a = SimulationJob(6, 20.0, 0.5, 2.0, 1, 1000.0, engine="batch")
-        b = SimulationJob(
-            6, 20.0, 0.5, 2.0, 2, 1000.0, engine="batch", topology="ring"
-        )
-        assert batch_group_key(a) != batch_group_key(b)
 
     def test_des_rejects_sparse_topology(self):
         with pytest.raises(ValueError, match="des"):
